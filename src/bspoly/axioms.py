@@ -19,16 +19,23 @@ def _require_nonempty(B: PointSet) -> None:
         raise ValueError("point set must be nonempty")
 
 
-def check_delta_exc(B: PointSet) -> Verdict:
-    """One-step exchange: every differing coordinate of every ordered pair
-    (p, q) must be covered by some step from p toward q that stays in B."""
-    _require_nonempty(B)
+def _uncovered(B: PointSet):
+    """Yield each (p, q, u) where q - p is nonzero at coordinate u but no
+    step of phi_b_toward(B, p, q) moves it, in scan order."""
     for p in B:
         for q in B:
             steps = exchange.phi_b_toward(B, p, q)
             for u in supp(sub(q, p)):
                 if not any(alpha[u - 1] != 0 for alpha in steps):
-                    return verdict_fail({"p": p, "q": q, "u": u})
+                    yield p, q, u
+
+
+def check_delta_exc(B: PointSet) -> Verdict:
+    """One-step exchange: every differing coordinate of every ordered pair
+    (p, q) must be covered by some step from p toward q that stays in B."""
+    _require_nonempty(B)
+    for p, q, u in _uncovered(B):
+        return verdict_fail({"p": p, "q": q, "u": u})
     return verdict_pass()
 
 
@@ -36,19 +43,13 @@ def check_jump_system(B: PointSet) -> Verdict:
     """Two-step exchange: each uncovered coordinate must instead admit a
     double unit step toward q that stays in B, with gap at least 2."""
     _require_nonempty(B)
-    for p in B:
-        for q in B:
-            steps = exchange.phi_b_toward(B, p, q)
-            for u in supp(sub(q, p)):
-                if any(alpha[u - 1] != 0 for alpha in steps):
-                    continue
-                gap = q[u - 1] - p[u - 1]
-                sign = 1 if gap > 0 else -1
-                double = tuple(e + (2 * sign if i == u - 1 else 0)
-                               for i, e in enumerate(p))
-                if abs(gap) >= 2 and double in B:
-                    continue
-                return verdict_fail({"p": p, "q": q, "u": u})
+    for p, q, u in _uncovered(B):
+        gap = q[u - 1] - p[u - 1]
+        sign = 1 if gap > 0 else -1
+        double = tuple(e + (2 * sign if i == u - 1 else 0)
+                       for i, e in enumerate(p))
+        if abs(gap) < 2 or double not in B:
+            return verdict_fail({"p": p, "q": q, "u": u})
     return verdict_pass()
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 SignedVector = tuple  # entries in {-1, 0, 1}
@@ -64,14 +66,6 @@ def supp(x) -> tuple[int, ...]:
     return tuple(u + 1 for u, e in enumerate(x) if e != 0)
 
 
-def supp_pos(x) -> tuple[int, ...]:
-    return tuple(u + 1 for u, e in enumerate(x) if e > 0)
-
-
-def supp_neg(x) -> tuple[int, ...]:
-    return tuple(u + 1 for u, e in enumerate(x) if e < 0)
-
-
 def add(p, q) -> tuple:
     _check_same_dim(p, q)
     return tuple(a + b for a, b in zip(p, q))
@@ -113,6 +107,7 @@ def precedes(x: SignedVector, y: SignedVector) -> bool:
     return all(a == 0 or a == b for a, b in zip(x, y))
 
 
+@cache
 def phi_steps(dim: int) -> tuple[Step, ...]:
     """All steps (signed vectors of 1-norm 1 or 2) in lexicographic order.
 
@@ -120,7 +115,13 @@ def phi_steps(dim: int) -> tuple[Step, ...]:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return tuple(x for x in signed_vectors(dim) if norm1(x) in (1, 2))
+    steps = set()
+    for u, v in itertools.combinations_with_replacement(range(dim), 2):
+        for a, b in itertools.product((-1, 1), repeat=2):
+            step = [0] * dim
+            step[u], step[v] = a, b  # u == v keeps only b: a unit step
+            steps.add(tuple(step))
+    return tuple(sorted(steps))
 
 
 def phi_toward(p: IntPoint, q: IntPoint) -> tuple[Step, ...]:
@@ -185,6 +186,15 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def step_index(self) -> Mapping[IntPoint, tuple[Step, ...]]:
+        """Phi_B(p) for each member p: the steps landing in the set, in
+        lexicographic order.  Built on first use; not part of equality."""
+        steps = phi_steps(self.dim)
+        return MappingProxyType({
+            p: tuple(alpha for alpha in steps if add(p, alpha) in self._members)
+            for p in self.points})
 
     def bounding_box(self) -> tuple[IntPoint, IntPoint]:
         if not self.points:

@@ -21,9 +21,8 @@ from .core import (
     IntPoint,
     PointSet,
     Step,
-    add,
-    phi_steps,
-    phi_toward,
+    phi_steps,  # unused here; perfbench/layers.py traces this lookup site
+    phi_toward,  # unused here; perfbench/layers.py traces this lookup site
     sub,
     supp,
     violation,
@@ -64,15 +63,14 @@ def _require_member(B: PointSet, p) -> tuple:
 
 def phi_b(B: PointSet, p: IntPoint) -> tuple:
     """Steps alpha with p + alpha in B, in lexicographic order."""
-    p = _require_member(B, p)
-    return tuple(alpha for alpha in phi_steps(B.dim) if add(p, alpha) in B)
+    return B.step_index[_require_member(B, p)]
 
 
 def phi_b_toward(B: PointSet, p: IntPoint, q: IntPoint) -> tuple:
     """Steps toward q that also land in B: phi_b(B, p) meets phi_toward(p, q)."""
     p = _require_member(B, p)
     q = _require_member(B, q)
-    return tuple(alpha for alpha in phi_toward(p, q) if add(p, alpha) in B)
+    return tuple(a for a in B.step_index[p] if violation(a, p, q) == 0)
 
 
 @dataclass(frozen=True)

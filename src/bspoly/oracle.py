@@ -98,8 +98,9 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
                         max_attempts: int = 200_000) -> BisubFunction:
     """Uniformly sample integer tables until one is bisubmodular.
 
-    Acceptance collapses quickly with dimension, hence the dim cap; see
-    random_bisubmodular_via_submodular for a generator that scales.
+    Acceptance collapses quickly with dimension, hence the dim cap.
+    random_bisubmodular_via_submodular reaches dim 3; at dim 4 its inner
+    rejection sampling raises RejectionBudgetExceeded.
     """
     if not 1 <= dim <= 3:
         raise ValueError("rejection sampling is limited to dim <= 3")
@@ -274,7 +275,7 @@ def _evaluate(task) -> dict:
 def _worker_count() -> int:
     raw = os.environ.get("BSPOLY_THREADS", "")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 
@@ -313,8 +314,8 @@ def run_equivalence_harness(config: HarnessConfig) -> EquivalenceReport:
     """
     instances = build_instances(config)
     tasks = [(B.dim, B.points) for B in instances]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(_worker_count(), len(tasks))
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             records = pool.map(_evaluate, tasks)
     else:

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from bspoly.core import PointSet, add, phi_steps
+from bspoly.core import (
+    PointSet,
+    add,
+    phi_steps,
+    phi_toward,
+    sub,
+    supp,
+    verdict_fail,
+    verdict_pass,
+)
 
 
 def steps_toward(dim: int, p, q):
@@ -20,6 +29,40 @@ def steps_toward(dim: int, p, q):
                for e, a, b in zip(alpha, p, q)):
             out.append(alpha)
     return out
+
+
+def phi_b_toward(b: PointSet, p, q):
+    """Per-pair reference: phi_toward(p, q) filtered by membership in b."""
+    return tuple(alpha for alpha in phi_toward(p, q) if add(p, alpha) in b)
+
+
+def check_delta_exc(b: PointSet):
+    """Reference one-step exchange scan, recomputing the steps per pair."""
+    for p in b:
+        for q in b:
+            steps = phi_b_toward(b, p, q)
+            for u in supp(sub(q, p)):
+                if not any(alpha[u - 1] != 0 for alpha in steps):
+                    return verdict_fail({"p": p, "q": q, "u": u})
+    return verdict_pass()
+
+
+def check_jump_system(b: PointSet):
+    """Reference two-step exchange scan, recomputing the steps per pair."""
+    for p in b:
+        for q in b:
+            steps = phi_b_toward(b, p, q)
+            for u in supp(sub(q, p)):
+                if any(alpha[u - 1] != 0 for alpha in steps):
+                    continue
+                gap = q[u - 1] - p[u - 1]
+                sign = 1 if gap > 0 else -1
+                double = tuple(e + (2 * sign if i == u - 1 else 0)
+                               for i, e in enumerate(p))
+                if abs(gap) >= 2 and double in b:
+                    continue
+                return verdict_fail({"p": p, "q": q, "u": u})
+    return verdict_pass()
 
 
 def brute_force_decomposition_exists(b: PointSet, p, q) -> bool:

@@ -17,7 +17,8 @@ from bspoly.axioms import (
     check_jump_system,
 )
 from bspoly.core import PointSet
-from bspoly.oracle import random_point_set
+from bspoly.oracle import HarnessConfig, build_instances, random_point_set
+import oracles
 from oracles import (
     brute_force_decomposition_exists,
     replay_delta_witness,
@@ -174,3 +175,25 @@ class TestImplications:
     def test_jump_does_not_imply_delta(self):
         assert check_jump_system(HOLE).passed
         assert not check_delta_exc(HOLE).passed
+
+
+class TestSharedScan:
+    """The one-scan checkers against the per-pair reference in oracles."""
+
+    @staticmethod
+    def assert_same_verdicts(sets):
+        for b in sets:
+            assert check_delta_exc(b) == oracles.check_delta_exc(b)
+            assert check_jump_system(b) == oracles.check_jump_system(b)
+
+    def test_all_subsets_of_the_dim2_grid(self):
+        sets = build_instances(HarnessConfig(dim=2, exhaustive_range=2))
+        assert len(sets) == 511
+        self.assert_same_verdicts(sets)
+
+    def test_seeded_random_sets(self):
+        sets = [random_point_set(3, 1, 0.6, seed) for seed in range(20)]
+        sets += [random_point_set(3, 2, 0.2, seed) for seed in range(10)]
+        sets += [random_point_set(4, 1, 0.3, seed) for seed in range(10)]
+        sets += [random_point_set(3, 1, 1.0, 0), random_point_set(4, 1, 1.0, 0)]
+        self.assert_same_verdicts(sets)

@@ -25,6 +25,7 @@ from bspoly.core import (
     phi_steps,
     phi_toward,
     precedes,
+    signed_vectors,
     sub,
     supp,
     violation,
@@ -116,6 +117,8 @@ class TestPhiSteps:
         assert len(steps) == 2 * dim * dim
         assert len(set(steps)) == len(steps)
         assert all(norm1(s) in (1, 2) for s in steps)
+        assert steps == tuple(x for x in signed_vectors(dim)
+                              if norm1(x) in (1, 2))
 
     def test_lexicographic_order(self):
         steps = phi_steps(3)
@@ -191,6 +194,14 @@ class TestPointSet:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             PointSet.from_points(2, [(1, 2, 3)])
+
+    def test_step_index_leaves_identity_alone(self):
+        built = PointSet.from_points(2, [(0, 0), (1, 1)])
+        assert built.step_index == {(0, 0): ((1, 1),), (1, 1): ((-1, -1),)}
+        fresh = PointSet.from_points(2, [(1, 1), (0, 0)])
+        assert built == fresh
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
 
 
 class TestSupports:

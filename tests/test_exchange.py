@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from bspoly.bisubmod import enumerate_integer_points
-from bspoly.core import PointSet, add
+from bspoly.core import PointSet, add, phi_steps
 from bspoly.exchange import (
     INFEASIBLE,
     POSITIVE_OPTIMUM,
@@ -31,6 +31,7 @@ from oracles import (
     brute_force_decomposition_exists,
     replay_decomposition,
     replay_zero_sum,
+    steps_toward,
 )
 
 DIAGONAL = PointSet.from_points(2, [(0, 0), (1, 1)])
@@ -84,6 +85,19 @@ class TestPhiBToward:
 
     def test_square_offers_three_routes(self):
         assert phi_b_toward(SQUARE, (0, 0), (1, 1)) == ((0, 1), (1, 0), (1, 1))
+
+    def test_index_matches_raw_filter_on_every_pair(self):
+        sets = convex_samples() + [HOLE]
+        sets += [random_point_set(3, 1, 0.5, seed) for seed in range(3)]
+        for b in sets:
+            for p in b:
+                landing = tuple(alpha for alpha in phi_steps(b.dim)
+                                if add(p, alpha) in b)
+                assert phi_b(b, p) == landing
+                for q in b:
+                    expected = tuple(alpha for alpha in steps_toward(b.dim, p, q)
+                                     if add(p, alpha) in b)
+                    assert phi_b_toward(b, p, q) == expected
 
 
 class TestDecompositionType:

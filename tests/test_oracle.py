@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from bspoly.axioms import check_jump_system
@@ -16,6 +18,7 @@ from bspoly.oracle import (
     HarnessConfig,
     RejectionBudgetExceeded,
     VERDICT_ORDER,
+    _worker_count,
     build_instances,
     function_to_jsonable,
     is_bs_convex,
@@ -227,6 +230,13 @@ class TestHarness:
         monkeypatch.setenv("BSPOLY_THREADS", "2")
         parallel = run_equivalence_harness(config)
         assert parallel.to_jsonable() == sequential.to_jsonable()
+
+    def test_thread_setting_clamped_to_cpu_count(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        for raw, expected in (("1000000", cpus), ("1", 1), ("0", 1),
+                              ("-3", 1), ("", 1)):
+            monkeypatch.setenv("BSPOLY_THREADS", raw)
+            assert _worker_count() == expected
 
     def test_bad_thread_setting_falls_back_to_sequential(self, monkeypatch):
         monkeypatch.setenv("BSPOLY_THREADS", "not-a-number")
