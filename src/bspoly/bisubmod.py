@@ -118,20 +118,20 @@ def _validate_value(x, value):
 
 
 def check_bisubmodular(f: BisubFunction) -> Verdict:
-    """Test f(x) + f(y) >= f(meet) + f(join) over all ordered pairs.
+    """Test f(x) + f(y) >= f(meet) + f(join) once per unordered pair x < y.
 
     An infinite left side never violates; a finite left side against an
     infinite right side does.  FAIL carries the lexicographically first
-    violating pair.
+    violating ordered pair.  Meet and join are symmetric and x = y never
+    violates, so that pair always has x < y and the scan of the pairs with
+    x < y, in lexicographic order, meets it first.
     """
     vectors = tuple(signed_vectors(f.dim))
     values = f.values
-    for x in vectors:
-        fx = values[_rank(x)]
+    for i, (x, fx) in enumerate(zip(vectors, values)):
         if fx == INF:
             continue
-        for y in vectors:
-            fy = values[_rank(y)]
+        for y, fy in zip(vectors[i + 1:], values[i + 1:]):
             if fy == INF:
                 continue
             m = meet(x, y)

@@ -1,9 +1,10 @@
 """Command-line front end: parse JSON instances, dispatch checkers, emit JSON.
 
 Exit codes: 0 for PASS / found / no disagreement, 1 for FAIL / not found /
-disagreement, 2 for usage or parse errors.  All output is a single JSON
-document on stdout with sorted keys and fixed separators, so identical
-invocations are byte-identical; --pretty trades that for readability.
+disagreement, 2 for usage, parse, recursion-depth or out-of-memory errors.
+All output is a single JSON document on stdout with sorted keys and fixed
+separators, so identical invocations are byte-identical; --pretty trades
+that for readability.
 +inf is spelled "inf" in instance files and output, since JSON has no
 infinity literal.
 """
@@ -238,8 +239,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # Exit 1 means FAIL, so exhausted recursion or memory must exit 2 too.
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -129,9 +129,9 @@ def decompose(B: PointSet, p: IntPoint, q: IntPoint):
     p = _require_member(B, p)
     q = _require_member(B, q)
     columns = phi_b(B, p)
-    rows = [[Fraction(alpha[u]) for alpha in columns] for u in range(B.dim)]
-    rhs = [Fraction(b - a) for a, b in zip(p, q)]
-    costs = [Fraction(violation(alpha, p, q)) for alpha in columns]
+    rows = [[alpha[u] for alpha in columns] for u in range(B.dim)]
+    rhs = [b - a for a, b in zip(p, q)]
+    costs = [violation(alpha, p, q) for alpha in columns]
     result = ratlp.solve(ratlp.standard_lp(rows, rhs, costs))
     if result.status == ratlp.INFEASIBLE:
         return NoDecomposition(p, q, INFEASIBLE)

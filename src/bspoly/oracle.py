@@ -35,6 +35,9 @@ from .core import (
 )
 
 
+_MAX_GRID_CELLS = 16
+
+
 class RejectionBudgetExceeded(RuntimeError):
     """Rejection sampling used up its attempt budget without an accept."""
 
@@ -43,13 +46,8 @@ def support_function(B: PointSet) -> BisubFunction:
     """f(x) = max over members p of <p, x>; always finite and integral."""
     if len(B) == 0:
         raise ValueError("point set must be nonempty")
-    table = {}
-    origin = zero(B.dim)
-    for x in signed_vectors(B.dim):
-        if x == origin:
-            continue
-        table[x] = max(dot(p, x) for p in B)
-    return BisubFunction.from_table(B.dim, table)
+    return BisubFunction(B.dim, tuple(max(dot(p, x) for p in B)
+                                      for x in signed_vectors(B.dim)))
 
 
 def function_to_jsonable(f: BisubFunction) -> dict:
@@ -108,10 +106,10 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
         raise ValueError("value_range must be nonnegative")
     rng = random.Random(seed)
     origin = zero(dim)
-    args = [x for x in signed_vectors(dim) if x != origin]
     for _ in range(max_attempts):
-        table = {x: rng.randint(-value_range, value_range) for x in args}
-        f = BisubFunction.from_table(dim, table)
+        f = BisubFunction(dim, tuple(
+            0 if x == origin else rng.randint(-value_range, value_range)
+            for x in signed_vectors(dim)))
         if check_bisubmodular(f).passed:
             return f
     raise RejectionBudgetExceeded(
@@ -119,65 +117,57 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
         f"(dim={dim}, value_range={value_range}, seed={seed})")
 
 
-def _random_monotone_submodular(rng: random.Random, dim: int, high: int,
-                                max_attempts: int = 50_000) -> dict:
-    """Uniformly sample set-function tables until monotone and submodular."""
-    ground = tuple(range(dim))
-    subsets = []
-    for mask in range(2 ** dim):
-        subsets.append(frozenset(u for u in ground if mask >> u & 1))
-    for _ in range(max_attempts):
-        g = {s: (0 if not s else rng.randint(0, high)) for s in subsets}
-        if any(g[s] > g[s | {u}] for s in subsets for u in ground):
+def _random_monotone_submodular(rng: random.Random, dim: int) -> list:
+    """Uniformly sample set functions with values in [0, 2], as lists
+    indexed by subset bitmask, until one is monotone and submodular."""
+    masks = range(2 ** dim)
+    for _ in range(50_000):
+        g = [0] + [rng.randint(0, 2) for _ in masks[1:]]
+        if any(g[s] > g[s | 1 << u] for s in masks for u in range(dim)):
             continue
-        if any(g[s] + g[t] < g[s | t] + g[s & t]
-               for s in subsets for t in subsets):
+        if any(g[s] + g[t] < g[s | t] + g[s & t] for s in masks for t in masks):
             continue
         return g
     raise RejectionBudgetExceeded(
-        f"no monotone submodular table in {max_attempts} attempts")
+        "no monotone submodular table in 50000 attempts")
 
 
 def random_bisubmodular_via_submodular(
-        dim: int, seed: int, value_bound: int = 5,
-        max_points: Optional[int] = None,
-        max_attempts: int = 10_000) -> BisubFunction:
+        dim: int, seed: int,
+        max_points: Optional[int] = None) -> BisubFunction:
     """Sample a bisubmodular table that uniform rejection cannot reach.
 
     Composes two random monotone submodular set functions (one on the
     positive support, one on the negative) with a random integral
     translation; the sum is always bisubmodular because meet and join add
     up to the plain sum coordinatewise and the supports intersect/unite.
-    Tables are rerolled until all values fit in [-value_bound, value_bound]
-    and, when max_points is given, the integer-point set is that small.
+    Tables are rerolled until all values fit in [-5, 5] and, when
+    max_points is given, the integer-point set is that small.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = random.Random(seed)
-    origin = zero(dim)
-    for _ in range(max_attempts):
-        g_pos = _random_monotone_submodular(rng, dim, high=2)
-        g_neg = _random_monotone_submodular(rng, dim, high=2)
+    # Each argument with the bitmasks of its positive and negative support.
+    supports = [(x, sum(1 << u for u, e in enumerate(x) if e > 0),
+                 sum(1 << u for u, e in enumerate(x) if e < 0))
+                for x in signed_vectors(dim)]
+    for _ in range(10_000):
+        g_pos = _random_monotone_submodular(rng, dim)
+        g_neg = _random_monotone_submodular(rng, dim)
         shift = tuple(rng.randint(-2, 2) for _ in range(dim))
-        table = {}
-        for x in signed_vectors(dim):
-            if x == origin:
-                continue
-            pos = frozenset(u for u, e in enumerate(x) if e > 0)
-            neg = frozenset(u for u, e in enumerate(x) if e < 0)
-            table[x] = g_pos[pos] + g_neg[neg] + dot(shift, x)
-        if any(abs(v) > value_bound for v in table.values()):
+        values = tuple(g_pos[pos] + g_neg[neg] + dot(shift, x)
+                       for x, pos, neg in supports)
+        if any(abs(v) > 5 for v in values):
             continue
-        f = BisubFunction.from_table(dim, table)
+        f = BisubFunction(dim, values)
         if not check_bisubmodular(f).passed:
             raise RuntimeError("composed table failed the bisubmodular check")
-        if max_points is not None:
-            if len(enumerate_integer_points(f)) > max_points:
-                continue
+        if (max_points is not None
+                and len(enumerate_integer_points(f)) > max_points):
+            continue
         return f
     raise RejectionBudgetExceeded(
-        f"no table within bounds in {max_attempts} attempts "
-        f"(dim={dim}, seed={seed})")
+        f"no table within bounds in 10000 attempts (dim={dim}, seed={seed})")
 
 
 def random_point_set(dim: int, box_radius: int, density: float,
@@ -201,7 +191,7 @@ class HarnessConfig:
     """What instances the equivalence harness should run.
 
     exhaustive_range=R enumerates every nonempty subset of the grid
-    {0..R}^dim (grid size capped by max_grid_cells); random_count draws
+    {0..R}^dim, which may have at most 16 cells; random_count draws
     seeded random point sets; explicit_sets are used as given.
     """
 
@@ -212,7 +202,6 @@ class HarnessConfig:
     box_radius: int = 2
     density: float = 0.5
     explicit_sets: tuple = ()
-    max_grid_cells: int = 16
 
 
 VERDICT_ORDER = ("delta_exc", "bs_exc", "oracle", "jump_system", "hole_free")
@@ -291,9 +280,9 @@ def build_instances(config: HarnessConfig) -> list:
             raise ValueError("exhaustive_range must be nonnegative")
         cells = list(product(range(config.exhaustive_range + 1),
                              repeat=config.dim))
-        if len(cells) > config.max_grid_cells:
+        if len(cells) > _MAX_GRID_CELLS:
             raise ValueError(
-                f"grid has {len(cells)} cells; cap is {config.max_grid_cells} "
+                f"grid has {len(cells)} cells; cap is {_MAX_GRID_CELLS} "
                 f"(2^cells instances)")
         for mask in range(1, 2 ** len(cells)):
             subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]

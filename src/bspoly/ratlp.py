@@ -154,10 +154,10 @@ def in_convex_hull(points: Sequence, target) -> tuple[bool, Optional[tuple]]:
         if len(p) != dim:
             raise DimensionMismatchError(
                 f"point of dimension {len(p)}, expected {dim}")
-    rows = [[Fraction(p[u]) for p in points] for u in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = [Fraction(e) for e in target] + [Fraction(1)]
-    result = solve(standard_lp(rows, rhs, [Fraction(0)] * len(points)))
+    rows = [[p[u] for p in points] for u in range(dim)]
+    rows.append([1] * len(points))
+    rhs = list(target) + [1]
+    result = solve(standard_lp(rows, rhs, [0] * len(points)))
     if result.status == OPTIMAL:
         return True, result.x
     return False, None
@@ -170,7 +170,6 @@ def in_conical_hull(generators: Sequence, target) -> bool:
         if len(g) != dim:
             raise DimensionMismatchError(
                 f"generator of dimension {len(g)}, expected {dim}")
-    rows = [[Fraction(g[u]) for g in generators] for u in range(dim)]
-    rhs = [Fraction(e) for e in target]
-    result = solve(standard_lp(rows, rhs, [Fraction(0)] * len(generators)))
+    rows = [[g[u] for g in generators] for u in range(dim)]
+    result = solve(standard_lp(rows, target, [0] * len(generators)))
     return result.status == OPTIMAL

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from bspoly.bisubmod import INF
 from bspoly.core import (
     PointSet,
     add,
+    join,
+    meet,
     phi_steps,
     phi_toward,
+    signed_vectors,
     sub,
     supp,
     verdict_fail,
@@ -62,6 +66,27 @@ def check_jump_system(b: PointSet):
                 if abs(gap) >= 2 and double in b:
                     continue
                 return verdict_fail({"p": p, "q": q, "u": u})
+    return verdict_pass()
+
+
+def check_bisubmodular(f):
+    """Reference bisubmodularity scan over all ordered pairs (x, y)."""
+    vectors = tuple(signed_vectors(f.dim))
+    for x in vectors:
+        if f(x) == INF:
+            continue
+        for y in vectors:
+            if f(y) == INF:
+                continue
+            m = meet(x, y)
+            j = join(x, y)
+            lhs = f(x) + f(y)
+            rhs = f(m) + f(j)
+            if lhs < rhs:
+                return verdict_fail({
+                    "x": x, "y": y, "meet": m, "join": j,
+                    "lhs": lhs, "rhs": rhs,
+                })
     return verdict_pass()
 
 

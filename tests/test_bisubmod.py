@@ -7,9 +7,13 @@ three ways where the theory says three characterizations agree.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+
+import oracles
 
 from bspoly.axioms import check_hole_free
 from bspoly.bisubmod import (
@@ -23,8 +27,16 @@ from bspoly.bisubmod import (
     feasible_directions,
     polyhedron_contains,
 )
-from bspoly.core import DimensionMismatchError, add, phi_steps, precedes
-from bspoly.oracle import random_bisubmodular, support_function
+from bspoly.core import (
+    DimensionMismatchError,
+    PointSet,
+    add,
+    phi_steps,
+    precedes,
+    signed_vectors,
+    zero,
+)
+from bspoly.oracle import random_bisubmodular, random_point_set, support_function
 from bspoly.ratlp import in_convex_hull
 
 INTERVAL_01 = BisubFunction.from_table(1, {(1,): 1, (-1,): 0})
@@ -106,6 +118,75 @@ class TestCheckBisubmodular:
         verdict = check_bisubmodular(f)
         assert not verdict.passed
         assert verdict.witness["rhs"] == INF
+
+
+def all_tables(dim, choices):
+    """Every table with f(0) = 0 and each other value drawn from choices."""
+    origin = zero(dim)
+    vectors = tuple(signed_vectors(dim))
+    for draw in product(choices, repeat=len(vectors) - 1):
+        rest = iter(draw)
+        yield BisubFunction(dim, tuple(0 if x == origin else next(rest)
+                                       for x in vectors))
+
+
+def tables_with_inf(dim, count, seed):
+    """Support functions of boxes and of random sets with +inf entries.
+
+    Half of the tables hide every argument with a chosen sign in a chosen
+    coordinate; that family is closed under meet and join, so tables built
+    from a box stay bisubmodular.  The others hide arguments at random.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            sides = [sorted((0, rng.randint(-2, 2))) for _ in range(dim)]
+            base = PointSet.from_points(dim, product(
+                *(range(lo, hi + 1) for lo, hi in sides)))
+        else:
+            base = random_point_set(dim, 1, 0.5, rng.randrange(2 ** 32))
+        if rng.random() < 0.5:
+            banned = {(rng.randrange(dim), rng.choice((-1, 1)))
+                      for _ in range(rng.randint(1, dim))}
+            hidden = [any(x[u] == sign for u, sign in banned)
+                      for x in signed_vectors(dim)]
+        else:
+            hidden = [x != zero(dim) and rng.random() < 0.2
+                      for x in signed_vectors(dim)]
+        yield BisubFunction(dim, tuple(
+            INF if hide else v
+            for hide, v in zip(hidden, support_function(base).values)))
+
+
+class TestHalfScanMatchesReference:
+    """The scan over pairs x < y against the full ordered-pair reference."""
+
+    def assert_same(self, tables):
+        verdicts = []
+        for f in tables:
+            verdict = check_bisubmodular(f)
+            assert verdict == oracles.check_bisubmodular(f)
+            verdicts.append(verdict.passed)
+        return verdicts
+
+    def test_all_dim1_tables_with_inf(self):
+        verdicts = self.assert_same(all_tables(1, (-2, -1, 0, 1, 2, INF)))
+        assert len(verdicts) == 36
+        assert any(verdicts) and not all(verdicts)
+
+    def test_all_finite_dim2_tables(self):
+        verdicts = self.assert_same(all_tables(2, (-1, 0, 1)))
+        assert len(verdicts) == 3 ** 8
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("dim,count", [(3, 200), (4, 40)])
+    def test_seeded_tables_with_inf(self, dim, count):
+        verdicts = self.assert_same(tables_with_inf(dim, count, seed=dim))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_acceptance_corpus_tables(self, instance_corpus):
+        _, items = instance_corpus
+        assert all(self.assert_same(f for f, _ in items))
 
 
 class TestPolyhedronContains:

@@ -1,7 +1,9 @@
 """Command-line behavior: golden outputs, exit codes, and input validation.
 
 Each invocation runs in a fresh interpreter so the byte-stability claims
-cover the real entry point, not an in-process shortcut.
+cover the real entry point, not an in-process shortcut.  The one exception
+is the out-of-memory test, which patches a checker in process because
+exhausting real memory is not an option.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import os
 
 import pytest
 
+from bspoly import cli
 from cli_examples import DATA, EXAMPLES, GOLDEN, run_cli
 
 
@@ -54,11 +57,24 @@ class TestCheckCommand:
         assert err.startswith(b"error:")
 
     def test_malformed_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(["check", "delta-exc", str(path)])
+        for name, text in (("broken.json", "{not json"),
+                           ("nested.json", "[" * 200000 + "]" * 200000)):
+            path = tmp_path / name
+            path.write_text(text)
+            code, _, err = run_cli(["check", "delta-exc", str(path)])
+            assert code == 2
+            assert err.startswith(b"error:")
+            assert err.count(b"\n") == 1
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def exhausted(_):
+            raise MemoryError
+        monkeypatch.setitem(cli.SET_CHECKERS, "delta-exc", exhausted)
+        code = cli.main(["check", "delta-exc", str(DATA / "set_hole.json")])
+        captured = capsys.readouterr()
         assert code == 2
-        assert err.startswith(b"error:")
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError\n"
 
     def test_unknown_axiom_rejected_by_parser(self):
         code, _, _ = run_cli(["check", "nonsense",
