@@ -156,23 +156,24 @@ def polyhedron_contains(f: BisubFunction, p) -> bool:
 
 def enumerate_integer_points(f: BisubFunction,
                              box: Optional[tuple] = None) -> PointSet:
-    """All integer points of P(f) inside the given or derived bounding box.
+    """All integer points of P(f) inside the given box, if any.
 
-    Without a box, the singleton values must be finite; they confine P(f) to
-    the product of [-f(-chi_u), f(+chi_u)].  The result may be empty.
+    The singleton values confine P(f) to the product of
+    [-f(-chi_u), f(+chi_u)]; a given box is intersected with those bounds,
+    and a bound that stays infinite raises UnboundedEnumeration.  The
+    result may be empty.
     """
-    if box is None:
-        lo, hi = [], []
-        for plus, minus in f.singleton_values:
-            if plus == INF or minus == INF:
-                raise UnboundedEnumeration(
-                    "no box given and some singleton value is +inf")
-            lo.append(-minus)
-            hi.append(plus)
-    else:
-        lo, hi = (as_point(side) for side in box)
-        if len(lo) != f.dim or len(hi) != f.dim:
+    lo = [-minus for _, minus in f.singleton_values]
+    hi = [plus for plus, _ in f.singleton_values]
+    if box is not None:
+        box_lo, box_hi = (as_point(side) for side in box)
+        if len(box_lo) != f.dim or len(box_hi) != f.dim:
             raise DimensionMismatchError("box dimension does not match f")
+        lo = [max(a, b) for a, b in zip(lo, box_lo)]
+        hi = [min(a, b) for a, b in zip(hi, box_hi)]
+    if INF in hi or -INF in lo:
+        raise UnboundedEnumeration(
+            "no box given and some singleton value is +inf")
     ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
     points = [p for p in product(*ranges) if polyhedron_contains(f, p)]
     return PointSet.from_points(f.dim, points)

@@ -1,7 +1,8 @@
 """Command-line front end: parse JSON instances, dispatch checkers, emit JSON.
 
 Exit codes: 0 for PASS / found / no disagreement, 1 for FAIL / not found /
-disagreement, 2 for usage, parse, recursion-depth or out-of-memory errors.
+disagreement, 2 for usage, parse, recursion-depth or out-of-memory errors,
+130 when interrupted (Ctrl-C).
 All output is a single JSON document on stdout with sorted keys and fixed
 separators, so identical invocations are byte-identical; --pretty trades
 that for readability.
@@ -243,6 +244,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from . import ratlp
@@ -95,13 +96,8 @@ class Decomposition:
 
     def multiplicities(self) -> tuple:
         """The distinct steps with counts, in lexicographic step order."""
-        out = []
-        for step in self.steps:
-            if out and out[-1][0] == step:
-                out[-1] = (step, out[-1][1] + 1)
-            else:
-                out.append((step, 1))
-        return tuple(out)
+        return tuple((step, len(list(run)))
+                     for step, run in groupby(self.steps))
 
 
 @dataclass(frozen=True)
@@ -128,6 +124,9 @@ def decompose(B: PointSet, p: IntPoint, q: IntPoint):
     """
     p = _require_member(B, p)
     q = _require_member(B, q)
+    if p == q:
+        # The right-hand side is zero, so the LP's only vertex is x = 0.
+        return Decomposition(p, q, ())
     columns = phi_b(B, p)
     rows = [[alpha[u] for alpha in columns] for u in range(B.dim)]
     rhs = [b - a for a, b in zip(p, q)]
@@ -174,55 +173,41 @@ def zero_sum_exchange(B: PointSet, q: IntPoint, r: IntPoint) -> ZeroSumExchange:
     if q == r:
         raise ValueError("the two points must differ")
 
-    sides = {}
-    for tag, base, goal in (("q", q, r), ("r", r, q)):
-        step_by_edge = {}
-        for alpha in phi_b_toward(B, base, goal):
-            edge = tuple(u - 1 for u in supp(alpha))
-            step_by_edge[edge] = alpha
-        sides[tag] = step_by_edge
-
-    vertices = tuple(u - 1 for u in supp(sub(r, q)))
-    incident = {("q", u): [] for u in vertices}
-    incident.update({("r", u): [] for u in vertices})
-    for tag, step_by_edge in sides.items():
-        for edge in step_by_edge:
+    ends = ((q, r), (r, q))
+    step_by_edge, least = [], []
+    for base, goal in ends:
+        edges = {tuple(u - 1 for u in supp(alpha)): alpha
+                 for alpha in phi_b_toward(B, base, goal)}
+        through = {}
+        for edge in sorted(edges):
             for u in edge:
-                incident[(tag, u)].append(edge)
-    for u in vertices:
-        for tag, base, goal in (("q", q, r), ("r", r, q)):
-            if not incident[(tag, u)]:
-                raise ExchangeAxiomViolated(base, goal, u + 1)
+                through.setdefault(u, edge)
+        step_by_edge.append(edges)
+        least.append(through)
+    for u in supp(sub(r, q)):
+        for side, (base, goal) in enumerate(ends):
+            if u - 1 not in least[side]:
+                raise ExchangeAxiomViolated(base, goal, u)
 
-    def chosen(tag: str, u: int) -> tuple:
-        other = "r" if tag == "q" else "q"
-        return min(incident[(other, u)])
-
-    def successor(state):
-        tag, edge, exit_vertex = state
-        other = "r" if tag == "q" else "q"
-        nxt = chosen(tag, exit_vertex)
-        entry = exit_vertex
-        leave = nxt[0] + nxt[-1] - entry if len(nxt) == 2 else entry
-        return (other, nxt, leave)
-
-    start_edge = min(sides["q"])
-    state = ("q", start_edge, start_edge[0])
+    # A state is (side, edge, exit); a self-loop exits where it entered.
+    start_edge = min(step_by_edge[0])
+    state = (0, start_edge, start_edge[0])
     seen = {}
     trail = []
     while state not in seen:
         seen[state] = len(trail)
         trail.append(state)
-        state = successor(state)
+        side, _, u = state
+        edge = least[1 - side][u]
+        state = (1 - side, edge, edge[0] + edge[-1] - u)
     cycle = trail[seen[state]:]
-    if cycle[0][0] == "r":
+    if cycle[0][0] == 1:
         cycle = cycle[1:] + cycle[:1]
 
     alphas, betas = [], []
-    for tag, edge, _ in cycle:
-        step = sides[tag][edge]
+    for side, edge, _ in cycle:
         copies = 2 if len(edge) == 1 else 1
-        (alphas if tag == "q" else betas).extend([step] * copies)
+        (betas if side else alphas).extend([step_by_edge[side][edge]] * copies)
     total = [0] * B.dim
     for step in alphas + betas:
         for i, e in enumerate(step):

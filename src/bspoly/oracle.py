@@ -19,7 +19,6 @@ from typing import Optional
 
 from . import axioms
 from .bisubmod import (
-    INF,
     BisubFunction,
     check_bisubmodular,
     enumerate_integer_points,
@@ -52,12 +51,7 @@ def support_function(B: PointSet) -> BisubFunction:
 
 def function_to_jsonable(f: BisubFunction) -> dict:
     """Instance-file shape for a function: explicit finite entries only."""
-    entries = []
-    origin = zero(f.dim)
-    for x, value in f.entries():
-        if x == origin or value == INF:
-            continue
-        entries.append({"x": list(x), "f": value})
+    entries = [{"x": list(x), "f": value} for x, value in f.finite_constraints]
     return {"kind": "function", "dim": f.dim, "entries": entries}
 
 
@@ -69,8 +63,6 @@ def is_bs_convex(B: PointSet) -> Verdict:
     failing sub-check: either the support function is not bisubmodular, or
     re-enumerating its polyhedron returns extra points (holes of B).
     """
-    if len(B) == 0:
-        raise ValueError("point set must be nonempty")
     f = support_function(B)
     table_check = check_bisubmodular(f)
     if not table_check.passed:

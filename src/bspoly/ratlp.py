@@ -145,19 +145,23 @@ def solve(lp: StandardLP) -> LPResult:
     return LPResult(OPTIMAL, tuple(x), value)
 
 
+def _solve_cone(vectors: Sequence, target, tail: tuple = ()) -> LPResult:
+    """Find w >= 0 with sum_i w_i (v_i, tail) = (target, tail), zero costs."""
+    dim = len(target)
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatchError(
+                f"vector of dimension {len(v)}, expected {dim}")
+    rows = [[v[u] for v in vectors] for u in range(dim)]
+    rows += [[e] * len(vectors) for e in tail]
+    return solve(standard_lp(rows, [*target, *tail], [0] * len(vectors)))
+
+
 def in_convex_hull(points: Sequence, target) -> tuple[bool, Optional[tuple]]:
     """Decide target in conv(points); on success return one coefficient vector."""
     if not points:
         raise ValueError("convex hull of an empty point list")
-    dim = len(target)
-    for p in points:
-        if len(p) != dim:
-            raise DimensionMismatchError(
-                f"point of dimension {len(p)}, expected {dim}")
-    rows = [[p[u] for p in points] for u in range(dim)]
-    rows.append([1] * len(points))
-    rhs = list(target) + [1]
-    result = solve(standard_lp(rows, rhs, [0] * len(points)))
+    result = _solve_cone(points, target, tail=(1,))
     if result.status == OPTIMAL:
         return True, result.x
     return False, None
@@ -165,11 +169,4 @@ def in_convex_hull(points: Sequence, target) -> tuple[bool, Optional[tuple]]:
 
 def in_conical_hull(generators: Sequence, target) -> bool:
     """Decide whether target is a nonnegative combination of the generators."""
-    dim = len(target)
-    for g in generators:
-        if len(g) != dim:
-            raise DimensionMismatchError(
-                f"generator of dimension {len(g)}, expected {dim}")
-    rows = [[g[u] for g in generators] for u in range(dim)]
-    result = solve(standard_lp(rows, target, [0] * len(generators)))
-    return result.status == OPTIMAL
+    return _solve_cone(generators, target).status == OPTIMAL

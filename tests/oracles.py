@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from bspoly import exchange
 from bspoly.bisubmod import INF
 from bspoly.core import (
     PointSet,
@@ -23,6 +24,7 @@ from bspoly.core import (
     verdict_fail,
     verdict_pass,
 )
+from bspoly.exchange import ExchangeAxiomViolated, ZeroSumExchange
 
 
 def steps_toward(dim: int, p, q):
@@ -38,6 +40,68 @@ def steps_toward(dim: int, p, q):
 def phi_b_toward(b: PointSet, p, q):
     """Per-pair reference: phi_toward(p, q) filtered by membership in b."""
     return tuple(alpha for alpha in phi_toward(p, q) if add(p, alpha) in b)
+
+
+def zero_sum_exchange(b: PointSet, q, r):
+    """Reference zero-sum walk for distinct members q and r of b.
+
+    The same construction as bspoly.exchange.zero_sum_exchange, kept with
+    incident-edge lists and an explicit successor function; it returns the
+    same ZeroSumExchange or raises the same ExchangeAxiomViolated.  The steps
+    come from exchange.phi_b_toward, which TestPhiBToward checks against the
+    raw filter.
+    """
+    q, r = tuple(q), tuple(r)
+    sides = {}
+    for tag, base, goal in (("q", q, r), ("r", r, q)):
+        step_by_edge = {}
+        for alpha in exchange.phi_b_toward(b, base, goal):
+            edge = tuple(u - 1 for u in supp(alpha))
+            step_by_edge[edge] = alpha
+        sides[tag] = step_by_edge
+
+    vertices = tuple(u - 1 for u in supp(sub(r, q)))
+    incident = {("q", u): [] for u in vertices}
+    incident.update({("r", u): [] for u in vertices})
+    for tag, step_by_edge in sides.items():
+        for edge in step_by_edge:
+            for u in edge:
+                incident[(tag, u)].append(edge)
+    for u in vertices:
+        for tag, base, goal in (("q", q, r), ("r", r, q)):
+            if not incident[(tag, u)]:
+                raise ExchangeAxiomViolated(base, goal, u + 1)
+
+    def chosen(tag: str, u: int) -> tuple:
+        other = "r" if tag == "q" else "q"
+        return min(incident[(other, u)])
+
+    def successor(state):
+        tag, edge, exit_vertex = state
+        other = "r" if tag == "q" else "q"
+        nxt = chosen(tag, exit_vertex)
+        entry = exit_vertex
+        leave = nxt[0] + nxt[-1] - entry if len(nxt) == 2 else entry
+        return (other, nxt, leave)
+
+    start_edge = min(sides["q"])
+    state = ("q", start_edge, start_edge[0])
+    seen = {}
+    trail = []
+    while state not in seen:
+        seen[state] = len(trail)
+        trail.append(state)
+        state = successor(state)
+    cycle = trail[seen[state]:]
+    if cycle[0][0] == "r":
+        cycle = cycle[1:] + cycle[:1]
+
+    alphas, betas = [], []
+    for tag, edge, _ in cycle:
+        step = sides[tag][edge]
+        copies = 2 if len(edge) == 1 else 1
+        (alphas if tag == "q" else betas).extend([step] * copies)
+    return ZeroSumExchange(tuple(sorted(alphas)), tuple(sorted(betas)))
 
 
 def check_delta_exc(b: PointSet):

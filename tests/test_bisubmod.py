@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 
+import bspoly.bisubmod
 from bspoly.axioms import check_hole_free
 from bspoly.bisubmod import (
     INF,
@@ -229,6 +230,28 @@ class TestEnumerateIntegerPoints:
         f = BisubFunction.from_table(1, {(1,): 1})
         got = enumerate_integer_points(f, box=((-2,), (2,)))
         assert list(got) == [(-2,), (-1,), (0,), (1,)]
+
+    def test_huge_box_tests_only_the_function_bounds(self, monkeypatch):
+        calls = []
+        real_contains = bspoly.bisubmod.polyhedron_contains
+        monkeypatch.setattr(bspoly.bisubmod, "polyhedron_contains",
+                            lambda f, p: calls.append(p) or real_contains(f, p))
+        got = enumerate_integer_points(INTERVAL_01,
+                                       box=((-10 ** 6,), (10 ** 6,)))
+        assert list(got) == [(0,), (1,)]
+        assert len(calls) <= 2
+
+    def test_box_with_one_infinite_singleton_matches_box_scan(self):
+        # f(+chi_1) is +inf; the other constraints are finite.
+        f = BisubFunction.from_table(2, {
+            (-1, 0): 1, (0, 1): 2, (0, -1): 1, (1, 1): 2, (1, -1): 3,
+        })
+        assert f.singleton_values[0][0] == INF
+        for lo, hi in ((-3, 3), (-1, 1), (0, 5), (2, 2), (-9, -2)):
+            box = ((lo, lo), (hi, hi))
+            expected = [p for p in product(range(lo, hi + 1), repeat=2)
+                        if polyhedron_contains(f, p)]
+            assert list(enumerate_integer_points(f, box)) == expected
 
 
 class TestDep:

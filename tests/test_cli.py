@@ -1,9 +1,9 @@
 """Command-line behavior: golden outputs, exit codes, and input validation.
 
 Each invocation runs in a fresh interpreter so the byte-stability claims
-cover the real entry point, not an in-process shortcut.  The one exception
-is the out-of-memory test, which patches a checker in process because
-exhausting real memory is not an option.
+cover the real entry point, not an in-process shortcut.  The exceptions are
+the out-of-memory and interrupt tests, which patch a checker in process
+because exhausting real memory or sending a signal is not an option.
 """
 
 from __future__ import annotations
@@ -75,6 +75,20 @@ class TestCheckCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: MemoryError\n"
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(_):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli.SET_CHECKERS, "bs-exc", interrupted)
+        try:
+            code = cli.main(["check", "bs-exc", str(DATA / "set_hole.json")])
+        except KeyboardInterrupt:
+            # Escaping here would stop the whole test session.
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.out == ""
+        assert captured.err == "error: interrupted\n"
 
     def test_unknown_axiom_rejected_by_parser(self):
         code, _, _ = run_cli(["check", "nonsense",

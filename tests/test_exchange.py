@@ -7,9 +7,12 @@ The decomposition LP is cross-checked against an exhaustive multiset search
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import bspoly.ratlp
+import oracles
 from bspoly.bisubmod import enumerate_integer_points
 from bspoly.core import PointSet, add, phi_steps
 from bspoly.exchange import (
@@ -133,6 +136,28 @@ class TestDecompose:
         assert isinstance(dec, Decomposition)
         assert dec.steps == ()
 
+    def test_same_point_solves_no_lp(self, monkeypatch):
+        sets = convex_samples() + [HOLE, random_point_set(3, 1, 0.5, 0)]
+        # With p = q the LP has a zero right-hand side: its vertex is 0.
+        for b in sets:
+            for p in b:
+                columns = phi_b(b, p)
+                lp = bspoly.ratlp.standard_lp(
+                    [[alpha[u] for alpha in columns] for u in range(b.dim)],
+                    [0] * b.dim, [0] * len(columns))
+                result = bspoly.ratlp.solve(lp)
+                assert result.value == 0 and not any(result.x)
+        calls = []
+        real_solve = bspoly.ratlp.solve
+        monkeypatch.setattr(bspoly.ratlp, "solve",
+                            lambda lp: calls.append(lp) or real_solve(lp))
+        for b in sets:
+            for p in b:
+                assert decompose(b, p, p) == Decomposition(p, p, ())
+        assert calls == []
+        decompose(CHAIN, (0, 0), (2, 2))
+        assert len(calls) == 1
+
     def test_reachable_only_by_straying_steps(self):
         # (2,0)-(0,0) is in the cone of available steps but every route
         # spends moves orthogonal to the displacement
@@ -192,6 +217,31 @@ class TestZeroSumExchange:
             zero_sum_exchange(HOLE, (0,), (2,))
         exc = exc_info.value
         assert (exc.p, exc.q, exc.u) == ((0,), (2,), 1)
+
+    def test_matches_reference_walk_on_every_pair(self):
+        cells = list(product(range(3), repeat=2))
+        sets = [PointSet.from_points(2, [c for i, c in enumerate(cells)
+                                         if mask >> i & 1])
+                for mask in range(1, 2 ** len(cells))]
+        sets += [random_point_set(3, 1, 0.6, seed) for seed in range(100)]
+        outcomes = set()
+        for b in sets:
+            for q in b:
+                for r in b:
+                    if q == r:
+                        continue
+                    try:
+                        expected = oracles.zero_sum_exchange(b, q, r)
+                    except ExchangeAxiomViolated as exc:
+                        with pytest.raises(ExchangeAxiomViolated) as got:
+                            zero_sum_exchange(b, q, r)
+                        assert ((got.value.p, got.value.q, got.value.u)
+                                == (exc.p, exc.q, exc.u))
+                        outcomes.add("raised")
+                        continue
+                    assert zero_sum_exchange(b, q, r) == expected
+                    outcomes.add("walked")
+        assert outcomes == {"raised", "walked"}
 
     def test_replays_on_known_convex_sets(self):
         for b in convex_samples():

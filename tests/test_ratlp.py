@@ -136,6 +136,11 @@ class TestConvexHull:
         with pytest.raises(ValueError):
             in_convex_hull([], (0,))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="dimension 1, expected 2"):
+            in_convex_hull([(0, 0), (1,)], (0, 0))
+
 
 class TestConicalHull:
     def test_examples(self):
@@ -150,3 +155,8 @@ class TestConicalHull:
         assert in_conical_hull([(1, 0), (0, 1), (-1, -1)], (5, -5))
         assert not in_conical_hull([(1, 0), (0, 1)], (5, -5))
         assert in_conical_hull([(1, 0), (0, 1)], (2, 3))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="dimension 3, expected 2"):
+            in_conical_hull([(1, 0), (0, 1, 0)], (1, 1))
