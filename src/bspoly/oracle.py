@@ -71,14 +71,13 @@ def is_bs_convex(B: PointSet) -> Verdict:
             "violation": table_check.witness,
             "function": function_to_jsonable(f),
         })
-    roundtrip = enumerate_integer_points(f)
-    if roundtrip.points != B.points:
-        extra = tuple(p for p in roundtrip if p not in B)
-        missing = tuple(p for p in B if p not in roundtrip)
+    # Every member p of B has <p, x> <= f(x): the round trip only adds points.
+    extra = tuple(p for p in enumerate_integer_points(f) if p not in B)
+    if extra:
         return verdict_fail({
             "reason": "round_trip_mismatch",
             "extra_points": extra,
-            "missing_points": missing,
+            "missing_points": (),
             "function": function_to_jsonable(f),
         })
     return verdict_pass({"function": function_to_jsonable(f)})
@@ -270,12 +269,13 @@ def build_instances(config: HarnessConfig) -> list:
     if config.exhaustive_range is not None:
         if config.exhaustive_range < 0:
             raise ValueError("exhaustive_range must be nonnegative")
+        cell_count = (config.exhaustive_range + 1) ** config.dim
+        if cell_count > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid has {cell_count} cells; cap is {_MAX_GRID_CELLS} "
+                f"(2^cells instances)")
         cells = list(product(range(config.exhaustive_range + 1),
                              repeat=config.dim))
-        if len(cells) > _MAX_GRID_CELLS:
-            raise ValueError(
-                f"grid has {len(cells)} cells; cap is {_MAX_GRID_CELLS} "
-                f"(2^cells instances)")
         for mask in range(1, 2 ** len(cells)):
             subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
             instances.append(PointSet.from_points(config.dim, subset))

@@ -2,14 +2,17 @@
 
 Nothing here calls the code paths under test: decomposability is decided by
 exhaustive multiset search instead of the LP, and certificates are replayed
-against raw definitions.  Slow and simple on purpose.
+against raw definitions.  The hole-free reference shares only the hull LP
+with the library, so the two give the same coefficients.  Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from bspoly import exchange
+from bspoly import exchange, ratlp
 from bspoly.bisubmod import INF
 from bspoly.core import (
     PointSet,
@@ -130,6 +133,21 @@ def check_jump_system(b: PointSet):
                 if abs(gap) >= 2 and double in b:
                     continue
                 return verdict_fail({"p": p, "q": q, "u": u})
+    return verdict_pass()
+
+
+def check_hole_free(b: PointSet):
+    """Reference hole-free scan: one hull LP per non-member of the box."""
+    lo, hi = b.bounding_box()
+    for candidate in product(*(range(x, y + 1) for x, y in zip(lo, hi))):
+        if candidate in b:
+            continue
+        inside, coefficients = ratlp.in_convex_hull(b.points, candidate)
+        if inside:
+            return verdict_fail({
+                "hole": candidate,
+                "coefficients": coefficients,
+            })
     return verdict_pass()
 
 

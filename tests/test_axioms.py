@@ -6,10 +6,12 @@ the implication structure between the axioms is asserted on random sets.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import bspoly.ratlp
 from bspoly.axioms import (
     check_bs_exc,
     check_delta_exc,
@@ -197,3 +199,63 @@ class TestSharedScan:
         sets += [random_point_set(4, 1, 0.3, seed) for seed in range(10)]
         sets += [random_point_set(3, 1, 1.0, 0), random_point_set(4, 1, 1.0, 0)]
         self.assert_same_verdicts(sets)
+
+
+class TestHoleFreeStepBounds:
+    """The step-bound filter against the full box scan in oracles."""
+
+    @staticmethod
+    def assert_same_verdicts(sets):
+        for b in sets:
+            assert check_hole_free(b) == oracles.check_hole_free(b)
+
+    @staticmethod
+    def hull_calls(monkeypatch, b):
+        calls = []
+        real = bspoly.ratlp.in_convex_hull
+
+        def counted(points, target):
+            calls.append(target)
+            return real(points, target)
+
+        monkeypatch.setattr(bspoly.ratlp, "in_convex_hull", counted)
+        return check_hole_free(b), len(calls)
+
+    def test_all_subsets_of_the_dim2_grid(self):
+        sets = build_instances(HarnessConfig(dim=2, exhaustive_range=2))
+        assert len(sets) == 511
+        self.assert_same_verdicts(sets)
+
+    def test_seeded_random_sets(self):
+        sets = [random_point_set(3, 1, 0.6, seed) for seed in range(100)]
+        sets += [random_point_set(2, 3, 0.4, seed) for seed in range(200)]
+        sets += [random_point_set(4, 1, 0.5, seed) for seed in range(50)]
+        self.assert_same_verdicts(sets)
+
+    def test_corpus_sets(self, instance_corpus):
+        _, items = instance_corpus
+        assert len(items) == 530
+        self.assert_same_verdicts(points for _, points in items)
+
+    def test_l1_ball_needs_no_lp(self, monkeypatch):
+        ball = PointSet.from_points(6, [
+            p for p in itertools.product((-1, 0, 1), repeat=6)
+            if sum(map(abs, p)) <= 1])
+        verdict, calls = self.hull_calls(monkeypatch, ball)
+        assert verdict.passed
+        assert calls == 0
+
+    def test_long_diagonal_fails_after_one_lp(self, monkeypatch):
+        b = PointSet.from_points(2, [(0, 0), (3000, 3000)])
+        verdict, calls = self.hull_calls(monkeypatch, b)
+        assert not verdict.passed
+        assert verdict.witness["hole"] == (1, 1)
+        assert replay_hole_witness(b, verdict.witness)
+        assert calls == 1
+
+    def test_two_points_in_dim12_need_no_lp(self, monkeypatch):
+        e1 = (1,) + (0,) * 11
+        b = PointSet.from_points(12, [(0,) * 12, e1])
+        verdict, calls = self.hull_calls(monkeypatch, b)
+        assert verdict.passed
+        assert calls == 0

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import bspoly.oracle
 from bspoly.axioms import check_jump_system
 from bspoly.bisubmod import (
     INF,
@@ -225,6 +226,14 @@ class TestHarness:
     def test_grid_cap_guards_blowup(self):
         with pytest.raises(ValueError):
             build_instances(HarnessConfig(dim=2, exhaustive_range=4))
+
+    def test_grid_cap_refuses_before_building_the_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built before the cap check")
+
+        monkeypatch.setattr(bspoly.oracle, "product", no_grid)
+        with pytest.raises(ValueError, match="cap is 16"):
+            build_instances(HarnessConfig(dim=5, exhaustive_range=1))
 
     def test_report_jsonable_shape(self):
         report = run_equivalence_harness(HarnessConfig(dim=1, explicit_sets=(
