@@ -1,8 +1,8 @@
 """Command-line front end: parse JSON instances, dispatch checkers, emit JSON.
 
 Exit codes: 0 for PASS / found / no disagreement, 1 for FAIL / not found /
-disagreement, 2 for usage, parse, recursion-depth or out-of-memory errors,
-130 when interrupted (Ctrl-C).
+disagreement, 2 for usage or parse errors and any other error, 130 when
+interrupted (Ctrl-C).
 All output is a single JSON document on stdout with sorted keys and fixed
 separators, so identical invocations are byte-identical; --pretty trades
 that for readability.
@@ -240,8 +240,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    # Exit 1 means FAIL, so exhausted recursion or memory must exit 2 too.
-    except (ValueError, OSError, RecursionError, MemoryError) as exc:
+    # Exit 1 means FAIL, so every error, a crash included, must exit 2.
+    except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

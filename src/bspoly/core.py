@@ -187,6 +187,10 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
+    def __reduce__(self):
+        # Leave the step-index memo behind: its mapping proxy cannot be pickled.
+        return PointSet, (self.dim, self.points, self._members)
+
     @cached_property
     def step_index(self) -> Mapping[IntPoint, tuple[Step, ...]]:
         """Phi_B(p) for each member p: the steps landing in the set, in

@@ -10,8 +10,6 @@ fatal finding to be reported, never auto-resolved.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -239,9 +237,7 @@ def _record_jsonable(record: dict) -> dict:
     return out
 
 
-def _evaluate(task) -> dict:
-    dim, points = task
-    B = PointSet.from_points(dim, points)
+def _evaluate(B: PointSet) -> dict:
     return {
         "points": B.points,
         "delta_exc": axioms.check_delta_exc(B),
@@ -252,20 +248,11 @@ def _evaluate(task) -> dict:
     }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BSPOLY_THREADS", "")
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
-
-
 def build_instances(config: HarnessConfig) -> list:
     """Materialize the batch in a fixed order: explicit, exhaustive, random."""
     if config.dim < 1:
         raise ValueError("dim must be >= 1")
-    instances = [PointSet.from_points(s.dim, s.points)
-                 for s in config.explicit_sets]
+    instances = list(config.explicit_sets)
     if config.exhaustive_range is not None:
         if config.exhaustive_range < 0:
             raise ValueError("exhaustive_range must be nonnegative")
@@ -288,19 +275,8 @@ def build_instances(config: HarnessConfig) -> list:
 
 
 def run_equivalence_harness(config: HarnessConfig) -> EquivalenceReport:
-    """Run all five checkers on every instance and tally agreement.
-
-    Results are identical whatever the worker count: the instance order is
-    fixed and the merge is ordered.
-    """
-    instances = build_instances(config)
-    tasks = [(B.dim, B.points) for B in instances]
-    workers = min(_worker_count(), len(tasks))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_evaluate, tasks)
-    else:
-        records = [_evaluate(task) for task in tasks]
+    """Run all five checkers on every instance and tally agreement."""
+    records = [_evaluate(B) for B in build_instances(config)]
 
     counts = {}
     disagreements = []

@@ -44,9 +44,8 @@ EXAMPLES = (
 )
 
 
-def run_cli(argv, env=None):
+def run_cli(argv):
     """Run the CLI in a fresh interpreter; return (exit code, stdout, stderr)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "bspoly.cli", *argv],
-        capture_output=True, env=env)
+        [sys.executable, "-m", "bspoly.cli", *argv], capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr

@@ -27,12 +27,6 @@ settings.register_profile("ci", derandomize=True, max_examples=100)
 settings.load_profile("ci")
 
 
-@pytest.fixture(autouse=True)
-def _sequential_harness(monkeypatch):
-    # Keep harness runs in-process so the LP recorder sees every call.
-    monkeypatch.delenv("BSPOLY_THREADS", raising=False)
-
-
 class _RecordingRatlp:
     """Stand-in for the ratlp module that logs optimal vertices."""
 

@@ -6,7 +6,9 @@ the implication structure between the axioms is asserted on random sets.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,16 @@ class TestBsExc:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             check_bs_exc(PointSet.from_points(1, []))
+
+    def test_checked_set_pickles_and_copies(self):
+        B = PointSet.from_points(2, [(0, 0), (1, 0), (1, 1), (2, 1)])
+        verdict = check_bs_exc(B)
+        for clone in (pickle.loads(pickle.dumps(B)), copy.deepcopy(B)):
+            assert clone == B
+            assert hash(clone) == hash(B)
+            assert repr(clone) == repr(B)
+            assert check_bs_exc(clone) == verdict
+            assert check_delta_exc(clone) == check_delta_exc(B)
 
 
 class TestHoleFree:

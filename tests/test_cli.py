@@ -9,7 +9,6 @@ because exhausting real memory or sending a signal is not an option.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -40,14 +39,6 @@ class TestGoldenExamples:
         assert out != golden
         assert json.loads(out) == json.loads(golden)
 
-    def test_worker_env_does_not_change_output(self):
-        env = dict(os.environ, BSPOLY_THREADS="2")
-        code, out, err = run_cli(
-            ["fuzz", "--dim", "1", "--exhaustive", "--range", "4"], env=env)
-        assert code == 0
-        assert err == b""
-        assert out == (GOLDEN / "fuzz_dim1_exhaustive.json").read_bytes()
-
 
 class TestCheckCommand:
     def test_missing_file(self):
@@ -75,6 +66,18 @@ class TestCheckCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: MemoryError\n"
+
+    def test_unexpected_error_exits_2_with_one_line(self, tmp_path):
+        # A dim-40 table overflows an index before anything is allocated;
+        # the crash must not leave with exit 1, which means FAIL.
+        path = write(tmp_path, "huge.json",
+                     {"kind": "function", "dim": 40, "entries": []})
+        for argv in (["check", "bisubmodular", path], ["enumerate", path]):
+            code, out, err = run_cli(argv)
+            assert code == 2
+            assert out == b""
+            assert err.startswith(b"error:")
+            assert err.count(b"\n") == 1
 
     def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(_):

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pytest
 
+import bspoly.axioms
 import bspoly.oracle
 from bspoly.axioms import check_jump_system
 from bspoly.bisubmod import (
@@ -20,7 +20,6 @@ from bspoly.oracle import (
     HarnessConfig,
     RejectionBudgetExceeded,
     VERDICT_ORDER,
-    _worker_count,
     build_instances,
     function_to_jsonable,
     is_bs_convex,
@@ -248,22 +247,20 @@ class TestHarness:
         assert row["verdicts"]["delta_exc"] == "FAIL"
         assert list(row["verdicts"]) == list(VERDICT_ORDER)
 
-    def test_worker_fanout_matches_sequential(self, monkeypatch):
-        config = HarnessConfig(dim=1, exhaustive_range=2, random_count=3)
-        sequential = run_equivalence_harness(config)
+    def test_every_checker_call_runs_in_process(self, monkeypatch):
+        config = HarnessConfig(dim=1, exhaustive_range=2)
+        expected = run_equivalence_harness(config).to_jsonable()
+        calls = []
+        real = bspoly.axioms.check_delta_exc
+
+        def counting(B):
+            calls.append(B)
+            return real(B)
+
+        # A stray worker setting must not move checker calls out of this
+        # process, where the bench and the LP recorder observe them.
         monkeypatch.setenv("BSPOLY_THREADS", "2")
-        parallel = run_equivalence_harness(config)
-        assert parallel.to_jsonable() == sequential.to_jsonable()
-
-    def test_thread_setting_clamped_to_cpu_count(self, monkeypatch):
-        cpus = os.cpu_count() or 1
-        for raw, expected in (("1000000", cpus), ("1", 1), ("0", 1),
-                              ("-3", 1), ("", 1)):
-            monkeypatch.setenv("BSPOLY_THREADS", raw)
-            assert _worker_count() == expected
-
-    def test_bad_thread_setting_falls_back_to_sequential(self, monkeypatch):
-        monkeypatch.setenv("BSPOLY_THREADS", "not-a-number")
-        report = run_equivalence_harness(HarnessConfig(dim=1,
-                                                       exhaustive_range=1))
-        assert report.total == 3
+        monkeypatch.setattr(bspoly.axioms, "check_delta_exc", counting)
+        report = run_equivalence_harness(config)
+        assert len(calls) == 7
+        assert report.to_jsonable() == expected
