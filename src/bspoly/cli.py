@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import axioms, exchange, oracle
 from .bisubmod import INF, BisubFunction, check_bisubmodular, enumerate_integer_points
-from .core import PointSet, _jsonable, as_signed_vector, zero
+from .core import PointSet, _jsonable, zero
 from .oracle import HarnessConfig, run_equivalence_harness
 
 
@@ -45,6 +45,12 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _int_vector(raw, dim: int, what: str) -> tuple:
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise CliError(f"{what} {raw!r} is not a length-{dim} list")
+    return tuple(_require_int(e, f"{what} entry") for e in raw)
+
+
 def load_instance(path: str):
     """Parse an instance file into a PointSet or a BisubFunction."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -61,39 +67,24 @@ def load_instance(path: str):
         points = doc.get("points")
         if not isinstance(points, list):
             raise CliError('"points" must be a list of integer vectors')
-        for p in points:
-            if not isinstance(p, list) or len(p) != dim:
-                raise CliError(f"point {p!r} is not a length-{dim} list")
-            for e in p:
-                _require_int(e, "point entry")
-        return PointSet.from_points(dim, points)
+        return PointSet.from_points(
+            dim, [_int_vector(p, dim, "point") for p in points])
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise CliError('"entries" must be a list of {"x": ..., "f": ...}')
     table = {}
-    origin = zero(dim)
     for item in entries:
         if not isinstance(item, dict) or "x" not in item or "f" not in item:
             raise CliError(f'entry {item!r} needs keys "x" and "f"')
-        raw_x = item["x"]
-        if not isinstance(raw_x, list) or len(raw_x) != dim:
-            raise CliError(f"argument {raw_x!r} is not a length-{dim} list")
-        for e in raw_x:
-            _require_int(e, "argument entry")
-        try:
-            x = as_signed_vector(raw_x)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        x = _int_vector(item["x"], dim, "argument")
         if x in table:
             raise CliError(f"duplicate entry for argument {list(x)}")
         value = item["f"]
-        if value == "inf":
-            value = INF
-        else:
-            value = _require_int(value, f"value at {list(x)}")
-        table[x] = value
+        table[x] = INF if value == "inf" else _require_int(
+            value, f"value at {list(x)}")
     # The zero argument always maps to 0, whatever the file says.
-    table.pop(origin, None)
+    table.pop(zero(dim), None)
+    # from_table rejects an argument entry outside {-1, 0, 1}.
     return BisubFunction.from_table(dim, table)
 
 
@@ -108,6 +99,7 @@ def _parse_point(text: str, dim: int) -> tuple:
 
 
 def emit(doc, pretty: bool, out: Optional[str] = None) -> None:
+    doc = _jsonable(doc)
     if pretty:
         text = json.dumps(doc, indent=2, sort_keys=True)
     else:
@@ -129,7 +121,7 @@ def cmd_check(args) -> int:
         if not isinstance(instance, BisubFunction):
             raise CliError(f'axiom "{args.axiom}" needs a "function" instance')
         verdict = FUNCTION_CHECKERS[args.axiom](instance)
-    emit(verdict.to_jsonable(), args.pretty)
+    emit(verdict, args.pretty)
     return 0 if verdict.passed else 1
 
 
@@ -141,14 +133,12 @@ def cmd_decompose(args) -> int:
     q = _parse_point(args.q, instance.dim)
     result = exchange.decompose(instance, p, q)
     if isinstance(result, exchange.Decomposition):
-        steps = [{"step": list(step), "mult": mult}
+        steps = [{"step": step, "mult": mult}
                  for step, mult in result.multiplicities()]
-        emit({"found": True, "p": list(p), "q": list(q), "steps": steps},
-             args.pretty)
+        emit({"found": True, "p": p, "q": q, "steps": steps}, args.pretty)
         return 0
-    emit({"found": False, "p": list(p), "q": list(q),
-          "reason": result.reason,
-          "optimal_value": _jsonable(result.optimal_value)}, args.pretty)
+    emit({"found": False, "p": p, "q": q, "reason": result.reason,
+          "optimal_value": result.optimal_value}, args.pretty)
     return 1
 
 
@@ -164,7 +154,7 @@ def cmd_enumerate(args) -> int:
             raise CliError(f"cannot parse box {args.box!r}; expected lo,hi") from exc
         box = ((lo,) * instance.dim, (hi,) * instance.dim)
     points = enumerate_integer_points(instance, box)
-    emit([list(p) for p in points], args.pretty)
+    emit(points.points, args.pretty)
     return 0
 
 

@@ -241,9 +241,12 @@ def verdict_fail(witness: Mapping) -> Verdict:
 
 
 def _jsonable(obj):
-    """Recursively convert tuples to lists so payloads serialize cleanly."""
+    """The one output encoder: tuples become lists, a Fraction "n" or "n/d",
+    +inf "inf", and a Verdict its to_jsonable()."""
     if obj is None or isinstance(obj, (int, str, bool)):
         return obj
+    if isinstance(obj, Verdict):
+        return obj.to_jsonable()
     if isinstance(obj, Fraction):
         return str(obj.numerator) if obj.denominator == 1 else str(obj)
     if isinstance(obj, float):

@@ -24,6 +24,7 @@ from .bisubmod import (
 from .core import (
     PointSet,
     Verdict,
+    _jsonable,
     dot,
     signed_vectors,
     verdict_fail,
@@ -162,17 +163,21 @@ def random_bisubmodular_via_submodular(
 def random_point_set(dim: int, box_radius: int, density: float,
                      seed: int) -> PointSet:
     """Independently include each point of the box [-r, r]^dim with the
-    given probability; reroll whole passes until nonempty."""
+    given probability; reroll whole passes until nonempty, at most 1000
+    passes, then raise RejectionBudgetExceeded."""
     if dim < 1 or box_radius < 1:
         raise ValueError("dim and box_radius must be positive")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     rng = random.Random(seed)
     cells = list(product(range(-box_radius, box_radius + 1), repeat=dim))
-    while True:
+    for _ in range(1_000):
         points = [p for p in cells if rng.random() < density]
         if points:
             return PointSet.from_points(dim, points)
+    raise RejectionBudgetExceeded(
+        f"no nonempty point set in 1000 passes "
+        f"(dim={dim}, density={density}, seed={seed})")
 
 
 @dataclass(frozen=True)
@@ -219,22 +224,12 @@ class EquivalenceReport:
         counts = [{"verdicts": dict(zip(VERDICT_ORDER, statuses)),
                    "count": count}
                   for statuses, count in self.counts]
-        return {
+        return _jsonable({
             "total": self.total,
             "counts": counts,
-            "disagreements": [_record_jsonable(r) for r in self.disagreements],
-            "implication_violations": [
-                dict(item, record=_record_jsonable(item["record"]))
-                for item in self.implication_violations
-            ],
-        }
-
-
-def _record_jsonable(record: dict) -> dict:
-    out = {"points": [list(p) for p in record["points"]]}
-    for name in VERDICT_ORDER:
-        out[name] = record[name].to_jsonable()
-    return out
+            "disagreements": self.disagreements,
+            "implication_violations": self.implication_violations,
+        })
 
 
 def _evaluate(B: PointSet) -> dict:

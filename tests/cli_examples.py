@@ -44,8 +44,12 @@ EXAMPLES = (
 )
 
 
-def run_cli(argv):
-    """Run the CLI in a fresh interpreter; return (exit code, stdout, stderr)."""
+def run_cli(argv, timeout=None):
+    """Run the CLI in a fresh interpreter; return (exit code, stdout, stderr).
+
+    A timeout in seconds makes a hang raise subprocess.TimeoutExpired.
+    """
     proc = subprocess.run(
-        [sys.executable, "-m", "bspoly.cli", *argv], capture_output=True)
+        [sys.executable, "-m", "bspoly.cli", *argv], capture_output=True,
+        timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr

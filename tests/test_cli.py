@@ -143,7 +143,7 @@ class TestCheckCommand:
         })
         code, _, err = run_cli(["check", "bisubmodular", path])
         assert code == 2
-        assert err.startswith(b"error:")
+        assert err == b"error: signed vector entry 2 not in {-1, 0, 1}\n"
 
     def test_fractional_value_rejected(self, tmp_path):
         path = write(tmp_path, "frac.json", {
@@ -161,6 +161,17 @@ class TestCheckCommand:
         code, out, _ = run_cli(["check", "bisubmodular", path])
         assert code == 0
         assert json.loads(out)["status"] == "PASS"
+
+    def test_infinite_witness_value_spelled_inf(self, tmp_path):
+        path = write(tmp_path, "rhs_inf.json", {
+            "kind": "function", "dim": 2,
+            "entries": [{"x": [1, 0], "f": 0}, {"x": [0, 1], "f": 0}],
+        })
+        code, out, err = run_cli(["check", "bisubmodular", path])
+        assert code == 1
+        assert err == b""
+        assert out == (b'{"status":"FAIL","witness":{"join":[1,1],"lhs":0,'
+                       b'"meet":[0,0],"rhs":"inf","x":[0,1],"y":[1,0]}}\n')
 
     def test_zero_argument_entry_is_ignored(self, tmp_path):
         path = write(tmp_path, "zero.json", {
@@ -191,6 +202,18 @@ class TestDecomposeCommand:
                                 "--p", "0", "--q", "1,1"])
         assert code == 2
         assert err.startswith(b"error:")
+
+    def test_positive_optimum_prints_fraction_as_string(self, tmp_path):
+        path = write(tmp_path, "diamond.json", {
+            "kind": "set", "dim": 2,
+            "points": [[0, 0], [1, 1], [1, -1], [2, 0]],
+        })
+        code, out, err = run_cli(["decompose", path, "--p", "0,0",
+                                  "--q", "2,0"])
+        assert code == 1
+        assert err == b""
+        assert out == (b'{"found":false,"optimal_value":"2","p":[0,0],'
+                       b'"q":[2,0],"reason":"positive_optimum"}\n')
 
     def test_function_instance_rejected(self):
         code, _, err = run_cli(["decompose", str(DATA / "func_interval.json"),
@@ -256,6 +279,15 @@ class TestFuzzCommand:
         assert err == b""
         assert out_path.read_bytes() == (
             GOLDEN / "fuzz_dim1_exhaustive.json").read_bytes()
+
+    def test_tiny_density_exits_2_instead_of_hanging(self):
+        code, out, err = run_cli(["fuzz", "--dim", "1", "--count", "1",
+                                  "--density", "1e-300", "--box-radius", "1"],
+                                 timeout=60)
+        assert code == 2
+        assert out == b""
+        assert err.startswith(b"error: no nonempty point set in 1000 passes")
+        assert err.count(b"\n") == 1
 
     def test_random_mode_is_seed_deterministic(self):
         argv = ["fuzz", "--dim", "2", "--count", "5", "--seed", "42",

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
 import bspoly.axioms
 import bspoly.oracle
+from bspoly import cli
 from bspoly.axioms import check_jump_system
 from bspoly.bisubmod import (
     INF,
@@ -15,7 +18,7 @@ from bspoly.bisubmod import (
     enumerate_integer_points,
     feasible_directions,
 )
-from bspoly.core import PointSet, dot, signed_vectors, sub, zero
+from bspoly.core import PointSet, dot, signed_vectors, sub, verdict_fail, zero
 from bspoly.oracle import (
     HarnessConfig,
     RejectionBudgetExceeded,
@@ -264,3 +267,51 @@ class TestHarness:
         report = run_equivalence_harness(config)
         assert len(calls) == 7
         assert report.to_jsonable() == expected
+
+    def test_disagreement_report(self, monkeypatch, capsys):
+        def forced_fail(B):
+            return verdict_fail({"reason": "forced", "at": (1,),
+                                 "value": Fraction(1, 2)})
+
+        # bs-exc and jump disagree with the other routes on every set, so
+        # the report carries full records, which no real batch produces.
+        monkeypatch.setattr(bspoly.axioms, "check_bs_exc", forced_fail)
+        monkeypatch.setattr(bspoly.axioms, "check_jump_system", forced_fail)
+        report = run_equivalence_harness(HarnessConfig(dim=1, explicit_sets=(
+            PointSet.from_points(1, [(0,), (1,)]),)))
+        assert not report.ok
+        assert len(report.disagreements) == 1
+        assert [item["kind"] for item in report.implication_violations] == [
+            "delta_exc_without_jump_system"]
+        forced = {"status": "FAIL",
+                  "witness": {"reason": "forced", "at": [1], "value": "1/2"}}
+        record = {
+            "points": [[0], [1]],
+            "delta_exc": {"status": "PASS", "witness": None},
+            "bs_exc": forced,
+            "oracle": {"status": "PASS", "witness": {"function": {
+                "kind": "function", "dim": 1,
+                "entries": [{"x": [-1], "f": 0}, {"x": [1], "f": 1}]}}},
+            "jump_system": forced,
+            "hole_free": {"status": "PASS", "witness": None},
+        }
+        assert report.to_jsonable() == {
+            "total": 1,
+            "counts": [{"verdicts": {"delta_exc": "PASS", "bs_exc": "FAIL",
+                                     "oracle": "PASS", "jump_system": "FAIL",
+                                     "hole_free": "PASS"},
+                        "count": 1}],
+            "disagreements": [record],
+            "implication_violations": [
+                {"kind": "delta_exc_without_jump_system", "record": record}],
+        }
+
+        code = cli.main(["fuzz", "--dim", "1", "--exhaustive", "--range", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        expected = run_equivalence_harness(
+            HarnessConfig(dim=1, exhaustive_range=1)).to_jsonable()
+        assert len(expected["disagreements"]) == 3
+        assert out == json.dumps(expected, sort_keys=True,
+                                 separators=(",", ":")) + "\n"
