@@ -1,8 +1,19 @@
 """Exact rational linear programming and hull membership.
 
 Solves min c.x subject to A.x = b, x >= 0 with a two-phase primal simplex
-over fractions.Fraction.  Bland's rule (smallest-index entering column;
-ratio ties broken by smallest basic variable index) guarantees termination.
+on a fraction-free integer tableau (integer pivoting in the style of
+Edmonds and Bareiss).  A and b are scaled once by the lcm of their
+denominators and c by the lcm of its own, so every tableau entry is an int.
+The solver keeps one running determinant det > 0 with the invariant
+
+    tableau = det * true tableau,
+
+where the true tableau is the one a rational simplex would hold.  A pivot
+updates each entry as (e * piv - f * r) / det, a division that is always
+exact; a remainder raises InexactPivot.  Fractions appear only in the
+returned x and value.  Bland's rule (smallest-index entering column; ratio
+ties broken by smallest basic variable index, ratios compared by
+cross-multiplying) guarantees termination and fixes the pivot sequence.
 Optimal results are always basic feasible solutions, i.e. vertices of the
 feasible region, which is what the half-integrality guarantees downstream
 are about.
@@ -12,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .core import DimensionMismatchError
@@ -20,10 +32,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-
 @dataclass(frozen=True)
 class StandardLP:
-    """min c.x  s.t.  A.x = b, x >= 0, all data exact rationals."""
+    """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction."""
 
     a_matrix: tuple
     b_vector: tuple
@@ -38,10 +49,15 @@ class StandardLP:
         return len(self.c_vector)
 
 
+def _exact(e):
+    """An int or Fraction as given; any other rational through Fraction."""
+    return e if isinstance(e, (int, Fraction)) else Fraction(e)
+
+
 def standard_lp(rows: Iterable[Iterable], rhs: Iterable, costs: Iterable) -> StandardLP:
-    a_matrix = tuple(tuple(Fraction(e) for e in row) for row in rows)
-    b_vector = tuple(Fraction(e) for e in rhs)
-    c_vector = tuple(Fraction(e) for e in costs)
+    a_matrix = tuple(tuple(map(_exact, row)) for row in rows)
+    b_vector = tuple(map(_exact, rhs))
+    c_vector = tuple(map(_exact, costs))
     if len(a_matrix) != len(b_vector):
         raise DimensionMismatchError(
             f"{len(a_matrix)} rows but {len(b_vector)} right-hand sides")
@@ -59,59 +75,107 @@ class LPResult:
     value: Optional[Fraction] = None
 
 
-def _pivot(tableau: list, basis: list, row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [e / piv for e in tableau[row]]
+class InexactPivot(RuntimeError):
+    """A pivot division left a remainder: a solver bug, never rounded away."""
+
+
+def _exact_quotients(values: list, det: int) -> list:
+    quotients = [e // det for e in values]
+    if any(e % det for e in values):
+        raise InexactPivot(f"pivot update not divisible by determinant {det}")
+    return quotients
+
+
+def _pivot(tableau: list, basis: list, row: int, col: int, det: int) -> int:
+    """Pivot on (row, col) and return the new determinant.
+
+    det is |det| of the current basis of the scaled integer input, so det
+    times the true tableau is integral by Cramer's rule.  With piv =
+    tableau[row][col], the new basis has |det| = det * |piv / det| = |piv|,
+    and every other row becomes (e * piv - factor * r) / det, an exact
+    division.  A negative pivot (possible only when driving out an
+    artificial) first negates its row, which keeps the determinant positive.
+    """
+    pivot_row = tableau[row]
+    piv = pivot_row[col]
+    if piv < 0:
+        piv = -piv
+        pivot_row = tableau[row] = [-e for e in pivot_row]
     for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [e - factor * r for e, r in zip(other, tableau[row])]
+        factor = other[col]
+        if i == row or (factor == 0 and piv == det):
+            continue
+        if factor == 0:
+            updated = [e * piv for e in other]
+        else:
+            updated = [e * piv - factor * r for e, r in zip(other, pivot_row)]
+        tableau[i] = updated if det == 1 else _exact_quotients(updated, det)
     basis[row] = col
+    return piv
 
 
-def _run_simplex(tableau: list, basis: list, num_cols: int) -> str:
-    """Iterate Bland pivots on a tableau whose last row holds reduced costs."""
+def _run_simplex(tableau: list, basis: list, num_cols: int,
+                 det: int) -> tuple[str, int]:
+    """Iterate Bland pivots on a tableau whose last row holds reduced costs.
+
+    Returns the status and the final determinant.  Ratios rhs / coeff are
+    compared by cross-multiplying; both coefficients are positive.
+    """
     num_rows = len(tableau) - 1
     while True:
         obj = tableau[num_rows]
         enter = next((j for j in range(num_cols) if obj[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, det
         leave = None
-        best = None
         for i in range(num_rows):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (leave is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+                rhs = tableau[i][-1]
+                if leave is None:
+                    leave, best_rhs, best_coeff = i, rhs, coeff
+                    continue
+                left, right = rhs * best_coeff, best_rhs * coeff
+                if left < right or (left == right and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coeff = i, rhs, coeff
         if leave is None:
-            return UNBOUNDED
-        _pivot(tableau, basis, leave, enter)
+            return UNBOUNDED, det
+        det = _pivot(tableau, basis, leave, enter, det)
+
+
+def _scaled(values, scale: int) -> list:
+    """values * scale as ints, where scale is a multiple of each denominator."""
+    return [e.numerator * (scale // e.denominator) for e in values]
 
 
 def solve(lp: StandardLP) -> LPResult:
     num_rows, num_cols = lp.num_rows, lp.num_cols
+    # Scale A and b by one positive factor and c by another.  The artificial
+    # columns stay unit columns, so each artificial is rescaled too: no
+    # sign or ratio order that Bland's rule tests changes, and once the
+    # artificials leave, the tableau is that of the unscaled LP.
+    scale = lcm(*(e.denominator for row in lp.a_matrix for e in row),
+                *(e.denominator for e in lp.b_vector))
+    cost_scale = lcm(*(e.denominator for e in lp.c_vector))
 
     # Phase 1: artificial basis, minimize the artificial mass.
+    b_vector = _scaled(lp.b_vector, scale)
     tableau = []
     for i in range(num_rows):
-        sign = -1 if lp.b_vector[i] < 0 else 1
-        row = [sign * e for e in lp.a_matrix[i]]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(num_rows)]
-        row.append(sign * lp.b_vector[i])
+        sign = -1 if b_vector[i] < 0 else 1
+        row = [sign * e for e in _scaled(lp.a_matrix[i], scale)]
+        row += [1 if j == i else 0 for j in range(num_rows)]
+        row.append(sign * b_vector[i])
         tableau.append(row)
-    obj = [Fraction(0)] * (num_cols + num_rows + 1)
+    obj = [0] * (num_cols + num_rows + 1)
     for row in tableau:
         for j in range(num_cols):
             obj[j] -= row[j]
         obj[-1] -= row[-1]
     tableau.append(obj)
     basis = [num_cols + i for i in range(num_rows)]
-    _run_simplex(tableau, basis, num_cols + num_rows)
-    if -tableau[num_rows][-1] != 0:
+    _, det = _run_simplex(tableau, basis, num_cols + num_rows, 1)
+    if tableau[num_rows][-1] != 0:
         return LPResult(INFEASIBLE)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -122,27 +186,28 @@ def solve(lp: StandardLP) -> LPResult:
             continue
         col = next((j for j in range(num_cols) if tableau[i][j] != 0), None)
         if col is not None:
-            _pivot(tableau, basis, i, col)
+            det = _pivot(tableau, basis, i, col, det)
             keep.append(i)
-    tableau = [[tableau[i][j] for j in range(num_cols)] + [tableau[i][-1]]
-               for i in keep]
+    tableau = [tableau[i][:num_cols] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: reduced costs of c relative to the current basis.
-    obj = list(lp.c_vector) + [Fraction(0)]
+    # Phase 2: reduced costs of c relative to the current basis, times det.
+    costs = _scaled(lp.c_vector, cost_scale)
+    obj = [det * e for e in costs] + [0]
     for i, bj in enumerate(basis):
-        if obj[bj] != 0:
-            factor = obj[bj]
+        factor = costs[bj]
+        if factor != 0:
             obj = [e - factor * r for e, r in zip(obj, tableau[i])]
     tableau.append(obj)
-    status = _run_simplex(tableau, basis, num_cols)
+    status, det = _run_simplex(tableau, basis, num_cols, det)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * num_cols
     for i, bj in enumerate(basis):
-        x[bj] = tableau[i][-1]
-    value = sum((cj * xj for cj, xj in zip(lp.c_vector, x)), Fraction(0))
-    return LPResult(OPTIMAL, tuple(x), value)
+        x[bj] = Fraction(tableau[i][-1], det)
+    # The objective row ends in -det * cost_scale * c.x.
+    return LPResult(OPTIMAL, tuple(x),
+                    Fraction(-tableau[-1][-1], det * cost_scale))
 
 
 def _solve_cone(vectors: Sequence, target, tail: tuple = ()) -> LPResult:

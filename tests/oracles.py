@@ -3,12 +3,14 @@
 Nothing here calls the code paths under test: decomposability is decided by
 exhaustive multiset search instead of the LP, and certificates are replayed
 against raw definitions.  The hole-free reference shares only the hull LP
-with the library, so the two give the same coefficients.  Slow and simple on
-purpose.
+with the library, so the two give the same coefficients.  solve is the
+two-phase Bland simplex over fractions.Fraction that the library's integer
+tableau must match pivot for pivot.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -28,6 +30,7 @@ from bspoly.core import (
     verdict_pass,
 )
 from bspoly.exchange import ExchangeAxiomViolated, ZeroSumExchange
+from bspoly.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
 def steps_toward(dim: int, p, q):
@@ -268,3 +271,90 @@ def replay_zero_sum(b: PointSet, q, r, zse) -> bool:
         for i, e in enumerate(step):
             total[i] += e
     return not any(total)
+
+
+def _pivot(tableau: list, basis: list, row: int, col: int) -> None:
+    piv = tableau[row][col]
+    tableau[row] = [e / piv for e in tableau[row]]
+    for i, other in enumerate(tableau):
+        if i != row and other[col] != 0:
+            factor = other[col]
+            tableau[i] = [e - factor * r for e, r in zip(other, tableau[row])]
+    basis[row] = col
+
+
+def _run_simplex(tableau: list, basis: list, num_cols: int) -> str:
+    """Iterate Bland pivots on a tableau whose last row holds reduced costs."""
+    num_rows = len(tableau) - 1
+    while True:
+        obj = tableau[num_rows]
+        enter = next((j for j in range(num_cols) if obj[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best = None
+        for i in range(num_rows):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (leave is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _pivot(tableau, basis, leave, enter)
+
+
+def solve(lp) -> LPResult:
+    """Reference two-phase simplex on a Fraction tableau."""
+    num_rows, num_cols = lp.num_rows, lp.num_cols
+
+    # Phase 1: artificial basis, minimize the artificial mass.
+    tableau = []
+    for i in range(num_rows):
+        sign = -1 if lp.b_vector[i] < 0 else 1
+        row = [sign * Fraction(e) for e in lp.a_matrix[i]]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(num_rows)]
+        row.append(sign * Fraction(lp.b_vector[i]))
+        tableau.append(row)
+    obj = [Fraction(0)] * (num_cols + num_rows + 1)
+    for row in tableau:
+        for j in range(num_cols):
+            obj[j] -= row[j]
+        obj[-1] -= row[-1]
+    tableau.append(obj)
+    basis = [num_cols + i for i in range(num_rows)]
+    _run_simplex(tableau, basis, num_cols + num_rows)
+    if -tableau[num_rows][-1] != 0:
+        return LPResult(INFEASIBLE)
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for i in range(num_rows):
+        if basis[i] < num_cols:
+            keep.append(i)
+            continue
+        col = next((j for j in range(num_cols) if tableau[i][j] != 0), None)
+        if col is not None:
+            _pivot(tableau, basis, i, col)
+            keep.append(i)
+    tableau = [[tableau[i][j] for j in range(num_cols)] + [tableau[i][-1]]
+               for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # Phase 2: reduced costs of c relative to the current basis.
+    obj = [Fraction(e) for e in lp.c_vector] + [Fraction(0)]
+    for i, bj in enumerate(basis):
+        if obj[bj] != 0:
+            factor = obj[bj]
+            obj = [e - factor * r for e, r in zip(obj, tableau[i])]
+    tableau.append(obj)
+    status = _run_simplex(tableau, basis, num_cols)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+    x = [Fraction(0)] * num_cols
+    for i, bj in enumerate(basis):
+        x[bj] = tableau[i][-1]
+    value = sum((cj * xj for cj, xj in zip(lp.c_vector, x)), Fraction(0))
+    return LPResult(OPTIMAL, tuple(x), value)
