@@ -2,7 +2,9 @@
 
 Exit codes: 0 for PASS / found / no disagreement, 1 for FAIL / not found /
 disagreement, 2 for usage or parse errors and any other error, 130 when
-interrupted (Ctrl-C).
+interrupted (Ctrl-C).  Commands that build a 3^dim table (check bs-convex,
+check bisubmodular, enumerate and fuzz) exit 2 up front above
+MAX_TABLE_DIM; the exchange checkers take any dim.
 All output is a single JSON document on stdout with sorted keys and fixed
 separators, so identical invocations are byte-identical; --pretty trades
 that for readability.
@@ -18,7 +20,8 @@ import sys
 from typing import Optional
 
 from . import axioms, exchange, oracle
-from .bisubmod import INF, BisubFunction, check_bisubmodular, enumerate_integer_points
+from .bisubmod import (INF, MAX_TABLE_DIM, BisubFunction, check_bisubmodular,
+                       enumerate_integer_points)
 from .core import PointSet, _jsonable, zero
 from .oracle import HarnessConfig, run_equivalence_harness
 
@@ -51,6 +54,12 @@ def _int_vector(raw, dim: int, what: str) -> tuple:
     return tuple(_require_int(e, f"{what} entry") for e in raw)
 
 
+def _require_table_dim(dim: int) -> None:
+    if dim > MAX_TABLE_DIM:
+        raise CliError(f"dim {dim} is above {MAX_TABLE_DIM}, the largest "
+                       f"dim whose 3^dim table is built")
+
+
 def load_instance(path: str):
     """Parse an instance file into a PointSet or a BisubFunction."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -69,6 +78,7 @@ def load_instance(path: str):
             raise CliError('"points" must be a list of integer vectors')
         return PointSet.from_points(
             dim, [_int_vector(p, dim, "point") for p in points])
+    _require_table_dim(dim)
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise CliError('"entries" must be a list of {"x": ..., "f": ...}')
@@ -116,6 +126,8 @@ def cmd_check(args) -> int:
     if args.axiom in SET_CHECKERS:
         if not isinstance(instance, PointSet):
             raise CliError(f'axiom "{args.axiom}" needs a "set" instance')
+        if args.axiom == "bs-convex":
+            _require_table_dim(instance.dim)
         verdict = SET_CHECKERS[args.axiom](instance)
     else:
         if not isinstance(instance, BisubFunction):
@@ -159,6 +171,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    _require_table_dim(args.dim)
     if args.exhaustive:
         if args.range is None:
             raise CliError("--exhaustive requires --range")

@@ -18,6 +18,7 @@ from typing import Optional
 from . import axioms
 from .bisubmod import (
     BisubFunction,
+    _locally_bisubmodular,
     check_bisubmodular,
     enumerate_integer_points,
 )
@@ -100,7 +101,7 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
         f = BisubFunction(dim, tuple(
             0 if x == origin else rng.randint(-value_range, value_range)
             for x in signed_vectors(dim)))
-        if check_bisubmodular(f).passed:
+        if _locally_bisubmodular(f):
             return f
     raise RejectionBudgetExceeded(
         f"no bisubmodular table in {max_attempts} attempts "
@@ -150,7 +151,7 @@ def random_bisubmodular_via_submodular(
         if any(abs(v) > 5 for v in values):
             continue
         f = BisubFunction(dim, values)
-        if not check_bisubmodular(f).passed:
+        if not _locally_bisubmodular(f):
             raise RuntimeError("composed table failed the bisubmodular check")
         if (max_points is not None
                 and len(enumerate_integer_points(f)) > max_points):

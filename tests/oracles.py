@@ -5,7 +5,9 @@ exhaustive multiset search instead of the LP, and certificates are replayed
 against raw definitions.  The hole-free reference shares only the hull LP
 with the library, so the two give the same coefficients.  solve is the
 two-phase Bland simplex over fractions.Fraction that the library's integer
-tableau must match pivot for pivot.  Slow and simple on purpose.
+tableau must match pivot for pivot.  enumerate_integer_points tests every
+point of the bounding box against every constraint, where the library walks
+the box depth first.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ from functools import lru_cache
 from itertools import product
 
 from bspoly import exchange, ratlp
-from bspoly.bisubmod import INF
+from bspoly.bisubmod import (
+    INF,
+    UnboundedEnumeration,
+    polyhedron_contains,
+)
 from bspoly.core import (
     PointSet,
     add,
+    as_point,
     join,
     meet,
     phi_steps,
@@ -173,6 +180,22 @@ def check_bisubmodular(f):
                     "lhs": lhs, "rhs": rhs,
                 })
     return verdict_pass()
+
+
+def enumerate_integer_points(f, box=None) -> PointSet:
+    """Reference enumeration: every point of the singleton box intersected
+    with the given box, tested against every finite constraint."""
+    lo = [-minus for _, minus in f.singleton_values]
+    hi = [plus for plus, _ in f.singleton_values]
+    if box is not None:
+        box_lo, box_hi = (as_point(side) for side in box)
+        lo = [max(a, b) for a, b in zip(lo, box_lo)]
+        hi = [min(a, b) for a, b in zip(hi, box_hi)]
+    if INF in hi or -INF in lo:
+        raise UnboundedEnumeration("some bound is infinite")
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return PointSet.from_points(f.dim, [p for p in product(*ranges)
+                                        if polyhedron_contains(f, p)])
 
 
 def brute_force_decomposition_exists(b: PointSet, p, q) -> bool:

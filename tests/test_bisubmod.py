@@ -37,7 +37,12 @@ from bspoly.core import (
     signed_vectors,
     zero,
 )
-from bspoly.oracle import random_bisubmodular, random_point_set, support_function
+from bspoly.oracle import (
+    random_bisubmodular,
+    random_bisubmodular_via_submodular,
+    random_point_set,
+    support_function,
+)
 from bspoly.ratlp import in_convex_hull
 
 INTERVAL_01 = BisubFunction.from_table(1, {(1,): 1, (-1,): 0})
@@ -189,6 +194,32 @@ class TestHalfScanMatchesReference:
         _, items = instance_corpus
         assert all(self.assert_same(f for f, _ in items))
 
+    @pytest.mark.parametrize("dim,count", [(3, 150), (4, 40)])
+    def test_support_functions_of_random_sets(self, dim, count):
+        rng = random.Random(dim)
+        verdicts = self.assert_same(
+            support_function(random_point_set(
+                dim, 1, rng.choice((0.1, 0.3, 0.9)), rng.randrange(2 ** 32)))
+            for _ in range(count))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_composed_dim3_tables(self):
+        assert all(self.assert_same(
+            random_bisubmodular_via_submodular(3, seed) for seed in range(25)))
+
+    def test_seeded_dim2_tables_with_inf(self):
+        # The local test is not sound once +inf appears: some of these
+        # tables pass it and still fail the pair scan.
+        rng = random.Random(2)
+        tables = [BisubFunction(2, tuple(
+            0 if x == zero(2) else INF if rng.random() < 0.3
+            else rng.randint(0, 2) for x in signed_vectors(2)))
+            for _ in range(1000)]
+        verdicts = self.assert_same(tables)
+        assert any(verdicts) and not all(verdicts)
+        assert any(bspoly.bisubmod._locally_bisubmodular(f) and not passed
+                   for f, passed in zip(tables, verdicts))
+
 
 class TestPolyhedronContains:
     def test_interval_membership(self):
@@ -252,6 +283,54 @@ class TestEnumerateIntegerPoints:
             expected = [p for p in product(range(lo, hi + 1), repeat=2)
                         if polyhedron_contains(f, p)]
             assert list(enumerate_integer_points(f, box)) == expected
+
+
+class TestDepthFirstMatchesReference:
+    """The depth-first walk against the box scan of tests/oracles.py."""
+
+    def assert_same(self, f, box=None):
+        """Both enumerations of f, or None when both refuse an unbounded box."""
+        try:
+            expected = oracles.enumerate_integer_points(f, box)
+        except UnboundedEnumeration:
+            with pytest.raises(UnboundedEnumeration):
+                enumerate_integer_points(f, box)
+            return None
+        got = enumerate_integer_points(f, box)
+        assert got == expected
+        return got
+
+    def test_all_dim1_tables_with_and_without_box(self):
+        sizes = []
+        for f in all_tables(1, (-2, -1, 0, 1, 2, INF)):
+            for box in (None, ((-3,), (3,)), ((1,), (1,))):
+                got = self.assert_same(f, box)
+                sizes.append(None if got is None else len(got))
+        assert len(sizes) == 3 * 36
+        assert None in sizes and 0 in sizes and max(filter(None, sizes)) > 1
+
+    @pytest.mark.parametrize("dim,count,low", [(2, 300, -1), (3, 60, 0)])
+    def test_seeded_tables_that_need_not_be_bisubmodular(self, dim, count,
+                                                         low):
+        # The CLI enumerates any function, so the walk must be exact even
+        # where a prefix that no constraint cuts off has no completion;
+        # most of these tables have such dead prefixes.
+        rng = random.Random(dim)
+        box = ((-2,) * dim, (2,) * dim)
+        bisubmodular, nonempty = 0, 0
+        for _ in range(count):
+            f = BisubFunction(dim, tuple(
+                0 if x == zero(dim) else INF if rng.random() < 0.2
+                else rng.randint(low, 3) for x in signed_vectors(dim)))
+            bisubmodular += check_bisubmodular(f).passed
+            nonempty += len(self.assert_same(f, box)) > 0
+        assert bisubmodular < count // 10
+        assert nonempty > count // 2
+
+    def test_box_that_leaves_no_points(self):
+        f = support_function(PointSet.from_points(2, [(0, 0), (1, 1)]))
+        for box in (((5, 5), (6, 6)), ((1, -1), (0, 1))):
+            assert len(self.assert_same(f, box)) == 0
 
 
 class TestDep:

@@ -68,8 +68,8 @@ class TestCheckCommand:
         assert captured.err == "error: MemoryError\n"
 
     def test_unexpected_error_exits_2_with_one_line(self, tmp_path):
-        # A dim-40 table overflows an index before anything is allocated;
-        # the crash must not leave with exit 1, which means FAIL.
+        # A dim-40 table is far above the table cap; whatever stops it,
+        # the error must not leave with exit 1, which means FAIL.
         path = write(tmp_path, "huge.json",
                      {"kind": "function", "dim": 40, "entries": []})
         for argv in (["check", "bisubmodular", path], ["enumerate", path]):
@@ -182,6 +182,54 @@ class TestCheckCommand:
         code, out, _ = run_cli(["enumerate", path])
         assert code == 0
         assert json.loads(out) == [[0], [1]]
+
+
+class TestTableDimCap:
+    """Commands that build a 3^dim table refuse above MAX_TABLE_DIM = 10."""
+
+    def two_point_set(self, tmp_path):
+        return write(tmp_path, "two.json", {
+            "kind": "set", "dim": 11,
+            "points": [[0] * 11, [1] + [0] * 10]})
+
+    def test_bs_convex_refuses_where_delta_exc_answers(self, tmp_path):
+        path = self.two_point_set(tmp_path)
+        code, out, err = run_cli(["check", "bs-convex", path], timeout=60)
+        assert code == 2
+        assert out == b""
+        assert err == (b"error: dim 11 is above 10, the largest dim whose "
+                       b"3^dim table is built\n")
+        code, out, _ = run_cli(["check", "delta-exc", path], timeout=60)
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+
+    def test_refusal_comes_before_any_work(self, tmp_path, monkeypatch,
+                                           capsys):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+
+        monkeypatch.setitem(cli.SET_CHECKERS, "bs-convex", record)
+        monkeypatch.setattr(cli, "run_equivalence_harness", record)
+        monkeypatch.setattr(cli.BisubFunction, "from_table", record)
+        function = write(tmp_path, "f11.json",
+                         {"kind": "function", "dim": 11, "entries": []})
+        for argv in (["check", "bs-convex", self.two_point_set(tmp_path)],
+                     ["check", "bisubmodular", function],
+                     ["enumerate", function, "--box", "0,0"],
+                     ["fuzz", "--dim", "11", "--exhaustive", "--range", "0"]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: dim 11 ")
+        assert calls == []
+
+    def test_cap_itself_is_accepted(self, tmp_path):
+        path = write(tmp_path, "f10.json",
+                     {"kind": "function", "dim": 10, "entries": []})
+        code, out, _ = run_cli(["enumerate", path, "--box", "0,0"],
+                               timeout=60)
+        assert code == 0
+        assert json.loads(out) == [[0] * 10]
 
 
 class TestDecomposeCommand:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -105,6 +106,28 @@ class TestIsBsConvex:
             "meet": (-1, 0, 0), "join": (-1, 1, 1),
             "lhs": 0, "rhs": 1,
         }
+
+
+def l1_ball(dim, without_origin=False):
+    """The integer points at L1 distance at most 1 from the origin."""
+    return PointSet.from_points(dim, [
+        p for p in product((-1, 0, 1), repeat=dim)
+        if sum(map(abs, p)) <= 1 and (any(p) or not without_origin)])
+
+
+class TestOracleScaling:
+    """L1 balls whose support tables the 9^dim pair scan could not check in
+    a minute; the local test and the depth-first walk take well under one."""
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_l1_ball_passes(self, dim):
+        assert is_bs_convex(l1_ball(dim)).passed
+
+    def test_dim8_ball_without_origin_fails(self):
+        verdict = is_bs_convex(l1_ball(8, without_origin=True))
+        assert not verdict.passed
+        assert verdict.witness["reason"] == "round_trip_mismatch"
+        assert verdict.witness["extra_points"] == ((0,) * 8,)
 
 
 class TestRandomBisubmodular:
