@@ -51,8 +51,8 @@ from .exchange import (
 )
 from .oracle import (
     EquivalenceReport,
-    HarnessConfig,
     RejectionBudgetExceeded,
+    exhaustive_point_sets,
     is_bs_convex,
     random_bisubmodular,
     random_bisubmodular_via_submodular,
@@ -82,7 +82,6 @@ __all__ = [
     "EquivalenceReport",
     "ExchangeAxiomViolated",
     "HalfIntegralityViolated",
-    "HarnessConfig",
     "INF",
     "INFEASIBLE",
     "LPResult",
@@ -105,6 +104,7 @@ __all__ = [
     "decompose",
     "dep",
     "enumerate_integer_points",
+    "exhaustive_point_sets",
     "feasible_directions",
     "in_conical_hull",
     "in_convex_hull",

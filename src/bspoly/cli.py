@@ -23,7 +23,7 @@ from . import axioms, exchange, oracle
 from .bisubmod import (INF, MAX_TABLE_DIM, BisubFunction, check_bisubmodular,
                        enumerate_integer_points)
 from .core import PointSet, _jsonable, zero
-from .oracle import HarnessConfig, run_equivalence_harness
+from .oracle import run_equivalence_harness
 
 
 class CliError(ValueError):
@@ -171,22 +171,26 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.dim < 1:
+        raise CliError("dim must be >= 1")
     _require_table_dim(args.dim)
     if args.exhaustive:
         if args.range is None:
             raise CliError("--exhaustive requires --range")
         if args.count is not None:
             raise CliError("--count does not apply to --exhaustive")
-        config = HarnessConfig(dim=args.dim, exhaustive_range=args.range)
+        point_sets = oracle.exhaustive_point_sets(args.dim, args.range)
     else:
         if args.count is None:
             raise CliError("random mode requires --count (or pass --exhaustive)")
         if args.range is not None:
             raise CliError("--range only applies to --exhaustive")
-        config = HarnessConfig(dim=args.dim, random_count=args.count,
-                               seed=args.seed, box_radius=args.box_radius,
-                               density=args.density)
-    report = run_equivalence_harness(config)
+        if args.count < 0:
+            raise CliError("--count must be nonnegative")
+        point_sets = [oracle.random_point_set(args.dim, args.box_radius,
+                                              args.density, args.seed + i)
+                      for i in range(args.count)]
+    report = run_equivalence_harness(point_sets)
     emit(report.to_jsonable(), args.pretty, args.out)
     return 0 if report.ok else 1
 

@@ -4,8 +4,9 @@ The oracle decides BS-convexity without touching the exchange machinery: it
 builds the support function of the input set, checks bisubmodularity of
 that table, and re-enumerates the integer points of its polyhedron.  The
 axiom checkers and the oracle are three independent routes to the same
-answer; the harness runs all of them and treats any disagreement as a
-fatal finding to be reported, never auto-resolved.
+answer.  The harness runs all of them on the point sets it is given, such
+as exhaustive_point_sets or a list of random_point_set draws, and treats
+any disagreement as a fatal finding to be reported, never auto-resolved.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from operator import mul
+from typing import Iterable, Optional
 
 from . import axioms
 from .bisubmod import (
@@ -45,7 +47,8 @@ def support_function(B: PointSet) -> BisubFunction:
     """f(x) = max over members p of <p, x>; always finite and integral."""
     if len(B) == 0:
         raise ValueError("point set must be nonempty")
-    return BisubFunction(B.dim, tuple(max(dot(p, x) for p in B)
+    # B's points and the arguments share B.dim, so no dimension check.
+    return BisubFunction(B.dim, tuple(max(sum(map(mul, p, x)) for p in B)
                                       for x in signed_vectors(B.dim)))
 
 
@@ -181,22 +184,22 @@ def random_point_set(dim: int, box_radius: int, density: float,
         f"(dim={dim}, density={density}, seed={seed})")
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """What instances the equivalence harness should run.
-
-    exhaustive_range=R enumerates every nonempty subset of the grid
-    {0..R}^dim, which may have at most 16 cells; random_count draws
-    seeded random point sets; explicit_sets are used as given.
-    """
-
-    dim: int
-    exhaustive_range: Optional[int] = None
-    random_count: int = 0
-    seed: int = 0
-    box_radius: int = 2
-    density: float = 0.5
-    explicit_sets: tuple = ()
+def exhaustive_point_sets(dim: int, grid_range: int) -> list:
+    """Every nonempty subset of the grid {0..grid_range}^dim, in bitmask
+    order; the grid may have at most 16 cells."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if grid_range < 0:
+        raise ValueError("exhaustive_range must be nonnegative")
+    cell_count = (grid_range + 1) ** dim
+    if cell_count > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid has {cell_count} cells; cap is {_MAX_GRID_CELLS} "
+            f"(2^cells instances)")
+    cells = list(product(range(grid_range + 1), repeat=dim))
+    return [PointSet.from_points(
+                dim, [cells[i] for i in range(len(cells)) if mask >> i & 1])
+            for mask in range(1, 2 ** len(cells))]
 
 
 VERDICT_ORDER = ("delta_exc", "bs_exc", "oracle", "jump_system", "hole_free")
@@ -234,6 +237,8 @@ class EquivalenceReport:
 
 
 def _evaluate(B: PointSet) -> dict:
+    # The checkers are looked up per call, so patching them on their
+    # modules reaches the harness.
     return {
         "points": B.points,
         "delta_exc": axioms.check_delta_exc(B),
@@ -244,40 +249,17 @@ def _evaluate(B: PointSet) -> dict:
     }
 
 
-def build_instances(config: HarnessConfig) -> list:
-    """Materialize the batch in a fixed order: explicit, exhaustive, random."""
-    if config.dim < 1:
-        raise ValueError("dim must be >= 1")
-    instances = list(config.explicit_sets)
-    if config.exhaustive_range is not None:
-        if config.exhaustive_range < 0:
-            raise ValueError("exhaustive_range must be nonnegative")
-        cell_count = (config.exhaustive_range + 1) ** config.dim
-        if cell_count > _MAX_GRID_CELLS:
-            raise ValueError(
-                f"grid has {cell_count} cells; cap is {_MAX_GRID_CELLS} "
-                f"(2^cells instances)")
-        cells = list(product(range(config.exhaustive_range + 1),
-                             repeat=config.dim))
-        for mask in range(1, 2 ** len(cells)):
-            subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-            instances.append(PointSet.from_points(config.dim, subset))
-    if config.random_count < 0:
-        raise ValueError("random_count must be nonnegative")
-    for i in range(config.random_count):
-        instances.append(random_point_set(
-            config.dim, config.box_radius, config.density, config.seed + i))
-    return instances
+def run_equivalence_harness(
+        point_sets: Iterable[PointSet]) -> EquivalenceReport:
+    """Run all five checkers on each point set in order and tally agreement.
 
-
-def run_equivalence_harness(config: HarnessConfig) -> EquivalenceReport:
-    """Run all five checkers on every instance and tally agreement."""
-    records = [_evaluate(B) for B in build_instances(config)]
-
+    Only the records of disagreements and implication violations are kept.
+    """
     counts = {}
     disagreements = []
     implication_violations = []
-    for record in records:
+    for B in point_sets:
+        record = _evaluate(B)
         statuses = tuple(record[name].status for name in VERDICT_ORDER)
         counts[statuses] = counts.get(statuses, 0) + 1
         delta, bs, orac = (record[n].passed
@@ -291,7 +273,7 @@ def run_equivalence_harness(config: HarnessConfig) -> EquivalenceReport:
             implication_violations.append(
                 {"kind": "delta_exc_without_hole_free", "record": record})
     return EquivalenceReport(
-        total=len(records),
+        total=sum(counts.values()),
         counts=tuple(sorted(counts.items())),
         disagreements=tuple(disagreements),
         implication_violations=tuple(implication_violations),

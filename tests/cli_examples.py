@@ -41,6 +41,9 @@ EXAMPLES = (
      ["fuzz", "--dim", "2", "--exhaustive", "--range", "2"], 0),
     ("fuzz_empty_batch",
      ["fuzz", "--dim", "1", "--count", "0"], 0),
+    ("fuzz_dim2_random",
+     ["fuzz", "--dim", "2", "--count", "60", "--seed", "0", "--box-radius",
+      "1", "--density", "0.6"], 0),
 )
 
 

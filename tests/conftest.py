@@ -13,11 +13,11 @@ from hypothesis import settings
 import bspoly.exchange
 import bspoly.ratlp
 from bspoly import (
-    HarnessConfig,
     check_bs_exc,
     check_delta_exc,
     check_jump_system,
     enumerate_integer_points,
+    exhaustive_point_sets,
     random_bisubmodular,
     random_bisubmodular_via_submodular,
     run_equivalence_harness,
@@ -105,12 +105,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def dim1_exhaustive_report(lp_vertex_log):
     start = time.time()
-    report = run_equivalence_harness(HarnessConfig(dim=1, exhaustive_range=4))
+    report = run_equivalence_harness(exhaustive_point_sets(1, 4))
     return time.time() - start, report
 
 
 @pytest.fixture(scope="session")
 def dim2_exhaustive_report(lp_vertex_log):
     start = time.time()
-    report = run_equivalence_harness(HarnessConfig(dim=2, exhaustive_range=2))
+    report = run_equivalence_harness(exhaustive_point_sets(2, 2))
     return time.time() - start, report

@@ -21,7 +21,7 @@ from bspoly.axioms import (
     check_jump_system,
 )
 from bspoly.core import PointSet
-from bspoly.oracle import HarnessConfig, build_instances, random_point_set
+from bspoly.oracle import exhaustive_point_sets, random_point_set
 import oracles
 from oracles import (
     brute_force_decomposition_exists,
@@ -201,7 +201,7 @@ class TestSharedScan:
             assert check_jump_system(b) == oracles.check_jump_system(b)
 
     def test_all_subsets_of_the_dim2_grid(self):
-        sets = build_instances(HarnessConfig(dim=2, exhaustive_range=2))
+        sets = exhaustive_point_sets(2, 2)
         assert len(sets) == 511
         self.assert_same_verdicts(sets)
 
@@ -234,7 +234,7 @@ class TestHoleFreeStepBounds:
         return check_hole_free(b), len(calls)
 
     def test_all_subsets_of_the_dim2_grid(self):
-        sets = build_instances(HarnessConfig(dim=2, exhaustive_range=2))
+        sets = exhaustive_point_sets(2, 2)
         assert len(sets) == 511
         self.assert_same_verdicts(sets)
 

@@ -318,6 +318,20 @@ class TestFuzzCommand:
             assert code == 2
             assert err.startswith(b"error:")
 
+    def test_out_of_range_arguments_exit_2(self):
+        cases = (
+            ["fuzz", "--dim", "0", "--count", "0"],
+            ["fuzz", "--dim", "0", "--exhaustive", "--range", "1"],
+            ["fuzz", "--dim", "1", "--count", "-1"],
+            ["fuzz", "--dim", "1", "--exhaustive", "--range", "-1"],
+        )
+        for argv in cases:
+            code, out, err = run_cli(argv)
+            assert code == 2, argv
+            assert out == b""
+            assert err.startswith(b"error:")
+            assert err.count(b"\n") == 1
+
     def test_out_file_receives_the_report(self, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, err = run_cli(["fuzz", "--dim", "1", "--exhaustive",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -21,10 +23,9 @@ from bspoly.bisubmod import (
 )
 from bspoly.core import PointSet, dot, signed_vectors, sub, verdict_fail, zero
 from bspoly.oracle import (
-    HarnessConfig,
     RejectionBudgetExceeded,
     VERDICT_ORDER,
-    build_instances,
+    exhaustive_point_sets,
     function_to_jsonable,
     is_bs_convex,
     random_bisubmodular,
@@ -230,11 +231,10 @@ class TestOracleSoundness:
 
 class TestHarness:
     def test_singleton_batch_all_pass(self):
-        config = HarnessConfig(dim=2, explicit_sets=(
+        report = run_equivalence_harness([
             PointSet.from_points(2, [(0, 0)]),
             PointSet.from_points(2, [(3, -1)]),
-        ))
-        report = run_equivalence_harness(config)
+        ])
         assert report.total == 2
         assert report.ok
         [(statuses, count)] = report.counts
@@ -242,15 +242,15 @@ class TestHarness:
         assert count == 2
 
     def test_exhaustive_instance_count(self):
-        config = HarnessConfig(dim=1, exhaustive_range=1)
-        assert len(build_instances(config)) == 3
-        report = run_equivalence_harness(config)
+        sets = exhaustive_point_sets(1, 1)
+        assert [b.points for b in sets] == [((0,),), ((1,),), ((0,), (1,))]
+        report = run_equivalence_harness(sets)
         assert report.total == 3
         assert report.ok
 
     def test_grid_cap_guards_blowup(self):
         with pytest.raises(ValueError):
-            build_instances(HarnessConfig(dim=2, exhaustive_range=4))
+            exhaustive_point_sets(2, 4)
 
     def test_grid_cap_refuses_before_building_the_grid(self, monkeypatch):
         def no_grid(*args, **kwargs):
@@ -258,11 +258,10 @@ class TestHarness:
 
         monkeypatch.setattr(bspoly.oracle, "product", no_grid)
         with pytest.raises(ValueError, match="cap is 16"):
-            build_instances(HarnessConfig(dim=5, exhaustive_range=1))
+            exhaustive_point_sets(5, 1)
 
     def test_report_jsonable_shape(self):
-        report = run_equivalence_harness(HarnessConfig(dim=1, explicit_sets=(
-            HOLE,)))
+        report = run_equivalence_harness([HOLE])
         doc = report.to_jsonable()
         assert doc["total"] == 1
         assert doc["disagreements"] == []
@@ -274,8 +273,8 @@ class TestHarness:
         assert list(row["verdicts"]) == list(VERDICT_ORDER)
 
     def test_every_checker_call_runs_in_process(self, monkeypatch):
-        config = HarnessConfig(dim=1, exhaustive_range=2)
-        expected = run_equivalence_harness(config).to_jsonable()
+        sets = exhaustive_point_sets(1, 2)
+        expected = run_equivalence_harness(sets).to_jsonable()
         calls = []
         real = bspoly.axioms.check_delta_exc
 
@@ -287,9 +286,29 @@ class TestHarness:
         # process, where the bench and the LP recorder observe them.
         monkeypatch.setenv("BSPOLY_THREADS", "2")
         monkeypatch.setattr(bspoly.axioms, "check_delta_exc", counting)
-        report = run_equivalence_harness(config)
+        report = run_equivalence_harness(sets)
         assert len(calls) == 7
         assert report.to_jsonable() == expected
+
+    def test_verdicts_of_agreeing_sets_are_not_retained(self, monkeypatch):
+        real = bspoly.axioms.check_bs_exc
+        returned = []
+        alive_at_call = []
+
+        def tracked(B):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in returned))
+            verdict = real(B)
+            returned.append(weakref.ref(verdict))
+            return verdict
+
+        # Only the record of the set just checked may still be held while
+        # the next set runs; bs-exc's certificates make records large.
+        monkeypatch.setattr(bspoly.axioms, "check_bs_exc", tracked)
+        report = run_equivalence_harness(exhaustive_point_sets(1, 2))
+        assert report.ok
+        assert len(alive_at_call) == 7
+        assert max(alive_at_call) <= 1, alive_at_call
 
     def test_disagreement_report(self, monkeypatch, capsys):
         def forced_fail(B):
@@ -300,8 +319,8 @@ class TestHarness:
         # the report carries full records, which no real batch produces.
         monkeypatch.setattr(bspoly.axioms, "check_bs_exc", forced_fail)
         monkeypatch.setattr(bspoly.axioms, "check_jump_system", forced_fail)
-        report = run_equivalence_harness(HarnessConfig(dim=1, explicit_sets=(
-            PointSet.from_points(1, [(0,), (1,)]),)))
+        report = run_equivalence_harness(
+            [PointSet.from_points(1, [(0,), (1,)])])
         assert not report.ok
         assert len(report.disagreements) == 1
         assert [item["kind"] for item in report.implication_violations] == [
@@ -334,7 +353,7 @@ class TestHarness:
         assert code == 1
         assert err == ""
         expected = run_equivalence_harness(
-            HarnessConfig(dim=1, exhaustive_range=1)).to_jsonable()
+            exhaustive_point_sets(1, 1)).to_jsonable()
         assert len(expected["disagreements"]) == 3
         assert out == json.dumps(expected, sort_keys=True,
                                  separators=(",", ":")) + "\n"

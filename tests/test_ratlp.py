@@ -18,7 +18,7 @@ import oracles
 from bspoly import ratlp
 from bspoly.axioms import check_bs_exc, check_hole_free
 from bspoly.core import DimensionMismatchError, phi_steps
-from bspoly.oracle import HarnessConfig, build_instances, random_point_set
+from bspoly.oracle import exhaustive_point_sets, random_point_set
 from bspoly.ratlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -262,7 +262,7 @@ class TestReferenceEquivalence:
         assert self.assert_matches_reference(monkeypatch, lps) == {OPTIMAL}
 
     def test_hole_free_lps(self, monkeypatch):
-        sets = build_instances(HarnessConfig(dim=2, exhaustive_range=2))
+        sets = exhaustive_point_sets(2, 2)
         assert len(sets) == 511
         sets += [random_point_set(3, 1, 0.6, seed) for seed in range(100)]
         lps = lps_solved_during(lambda: [check_hole_free(b) for b in sets])
