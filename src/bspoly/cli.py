@@ -179,6 +179,8 @@ def cmd_fuzz(args) -> int:
             raise CliError("--exhaustive requires --range")
         if args.count is not None:
             raise CliError("--count does not apply to --exhaustive")
+        if args.range < 0:
+            raise CliError("--range must be nonnegative")
         point_sets = oracle.exhaustive_point_sets(args.dim, args.range)
     else:
         if args.count is None:

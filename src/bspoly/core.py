@@ -242,7 +242,18 @@ def verdict_fail(witness: Mapping) -> Verdict:
 
 def _jsonable(obj):
     """The one output encoder: tuples become lists, a Fraction "n" or "n/d",
-    +inf "inf", and a Verdict its to_jsonable()."""
+    +inf "inf", and a Verdict its to_jsonable().
+
+    A tuple or list of plain ints and a dict are dispatched on their exact
+    type first; subclasses, mapping proxies and bools take the general path.
+    """
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        if all(type(e) is int for e in obj):
+            return list(obj)
+        return [_jsonable(o) for o in obj]
+    if kind is dict:
+        return {k: _jsonable(v) for k, v in obj.items()}
     if obj is None or isinstance(obj, (int, str, bool)):
         return obj
     if isinstance(obj, Verdict):

@@ -33,6 +33,10 @@ INFEASIBLE = "infeasible"
 POSITIVE_OPTIMUM = "positive_optimum"
 
 
+# _OFF_SIGN[s][e] is 1 when a step entry e is nonzero and its sign is not s.
+_OFF_SIGN = {s: {e: int(e not in (0, s)) for e in (-1, 0, 1)} for s in (-1, 0, 1)}
+
+
 class PointNotInSet(ValueError):
     """Raised when a base point is required to be a member of the set."""
 
@@ -128,26 +132,33 @@ def decompose(B: PointSet, p: IntPoint, q: IntPoint):
         # The right-hand side is zero, so the LP's only vertex is x = 0.
         return Decomposition(p, q, ())
     columns = phi_b(B, p)
-    rows = [[alpha[u] for alpha in columns] for u in range(B.dim)]
-    rhs = [b - a for a, b in zip(p, q)]
-    costs = [violation(alpha, p, q) for alpha in columns]
-    result = ratlp.solve(ratlp.standard_lp(rows, rhs, costs))
+    rows = tuple(zip(*columns)) if columns else ((),) * B.dim
+    rhs = tuple(b - a for a, b in zip(p, q))
+    # A step's violation mass: its nonzero entries off the sign of q - p.
+    flags = [map(_OFF_SIGN[(d > 0) - (d < 0)].__getitem__, row)
+             for d, row in zip(rhs, rows)]
+    costs = tuple(map(sum, zip(*flags)))
+    result = ratlp.solve(ratlp.StandardLP(rows, rhs, costs, scale=1))
     if result.status == ratlp.INFEASIBLE:
         return NoDecomposition(p, q, INFEASIBLE)
     if result.status != ratlp.OPTIMAL:
         raise RuntimeError("violation LP cannot be unbounded: costs are >= 0")
     if result.value != 0:
         return NoDecomposition(p, q, POSITIVE_OPTIMUM, result.value)
+    # x = numerators / det, so 2x is integral when det divides 2 * numerator.
+    det = result.det
     steps = []
-    for alpha, mu in zip(columns, result.x):
-        doubled = 2 * mu
-        if doubled.denominator != 1:
+    for alpha, numerator in zip(columns, result.numerators):
+        doubled, remainder = divmod(2 * numerator, det)
+        if remainder:
             raise HalfIntegralityViolated(
-                f"LP vertex entry {mu} for step {alpha} is not half-integral")
+                f"LP vertex entry {Fraction(numerator, det)} for step {alpha}"
+                " is not half-integral")
         if doubled > 0:
             assert violation(alpha, p, q) == 0
-            steps.extend([alpha] * int(doubled))
-    return Decomposition(p, q, tuple(sorted(steps)))
+            steps.extend([alpha] * doubled)
+    # The columns are in lexicographic order, so the steps already are.
+    return Decomposition(p, q, tuple(steps))
 
 
 @dataclass(frozen=True)

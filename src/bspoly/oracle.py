@@ -190,7 +190,7 @@ def exhaustive_point_sets(dim: int, grid_range: int) -> list:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if grid_range < 0:
-        raise ValueError("exhaustive_range must be nonnegative")
+        raise ValueError("grid_range must be nonnegative")
     cell_count = (grid_range + 1) ** dim
     if cell_count > _MAX_GRID_CELLS:
         raise ValueError(

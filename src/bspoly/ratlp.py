@@ -10,8 +10,11 @@ The solver keeps one running determinant det > 0 with the invariant
 
 where the true tableau is the one a rational simplex would hold.  A pivot
 updates each entry as (e * piv - f * r) / det, a division that is always
-exact; a remainder raises InexactPivot.  Fractions appear only in the
-returned x and value.  Bland's rule (smallest-index entering column; ratio
+exact; a remainder raises InexactPivot.  A StandardLP computes the lcm of
+its A and b denominators once, when it is built; with scale 1 the entries
+enter the tableau as they are.  A result carries the basic solution as
+integer numerators over the final det; its x, a tuple of Fractions, is
+built on first access.  Bland's rule (smallest-index entering column; ratio
 ties broken by smallest basic variable index, ratios compared by
 cross-multiplying) guarantees termination and fixes the pivot sequence.
 Optimal results are always basic feasible solutions, i.e. vertices of the
@@ -21,8 +24,9 @@ are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -34,11 +38,23 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class StandardLP:
-    """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction."""
+    """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction.
+
+    scale is the lcm of the denominators of A and b, computed here unless
+    the caller passes it (1 for integer A and b).  It is not part of
+    equality or the hash.
+    """
 
     a_matrix: tuple
     b_vector: tuple
     c_vector: tuple
+    scale: Optional[int] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.scale is None:
+            object.__setattr__(self, "scale", lcm(
+                *(e.denominator for row in self.a_matrix for e in row),
+                *(e.denominator for e in self.b_vector)))
 
     @property
     def num_rows(self) -> int:
@@ -50,8 +66,12 @@ class StandardLP:
 
 
 def _exact(e):
-    """An int or Fraction as given; any other rational through Fraction."""
-    return e if isinstance(e, (int, Fraction)) else Fraction(e)
+    """An int as given, a Fraction with denominator 1 as its int, any other
+    rational as a Fraction."""
+    if isinstance(e, int):
+        return e
+    e = e if isinstance(e, Fraction) else Fraction(e)
+    return e.numerator if e.denominator == 1 else e
 
 
 def standard_lp(rows: Iterable[Iterable], rhs: Iterable, costs: Iterable) -> StandardLP:
@@ -68,11 +88,35 @@ def standard_lp(rows: Iterable[Iterable], rhs: Iterable, costs: Iterable) -> Sta
     return StandardLP(a_matrix, b_vector, c_vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPResult:
+    """x[j] = numerators[j] / det; equality and the hash use (status, x, value).
+
+    solve gives integer numerators over its final determinant; any
+    rationals with det 1 give the same x.
+    """
+
     status: str
-    x: Optional[tuple] = None
+    numerators: Optional[tuple] = None
     value: Optional[Fraction] = None
+    det: int = 1
+
+    @cached_property
+    def x(self) -> Optional[tuple]:
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(n, self.det) for n in self.numerators)
+
+    def _key(self) -> tuple:
+        return self.status, self.x, self.value
+
+    def __eq__(self, other):
+        if not isinstance(other, LPResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class InexactPivot(RuntimeError):
@@ -154,24 +198,23 @@ def solve(lp: StandardLP) -> LPResult:
     # columns stay unit columns, so each artificial is rescaled too: no
     # sign or ratio order that Bland's rule tests changes, and once the
     # artificials leave, the tableau is that of the unscaled LP.
-    scale = lcm(*(e.denominator for row in lp.a_matrix for e in row),
-                *(e.denominator for e in lp.b_vector))
+    scale = lp.scale
+    a_matrix, b_vector = lp.a_matrix, lp.b_vector
+    if scale != 1:
+        a_matrix = [_scaled(row, scale) for row in a_matrix]
+        b_vector = _scaled(b_vector, scale)
     cost_scale = lcm(*(e.denominator for e in lp.c_vector))
 
     # Phase 1: artificial basis, minimize the artificial mass.
-    b_vector = _scaled(lp.b_vector, scale)
     tableau = []
-    for i in range(num_rows):
-        sign = -1 if b_vector[i] < 0 else 1
-        row = [sign * e for e in _scaled(lp.a_matrix[i], scale)]
-        row += [1 if j == i else 0 for j in range(num_rows)]
-        row.append(sign * b_vector[i])
+    for i, (a_row, b) in enumerate(zip(a_matrix, b_vector)):
+        row = [-e for e in a_row] if b < 0 else list(a_row)
+        row += [0] * i + [1] + [0] * (num_rows - 1 - i)
+        row.append(abs(b))
         tableau.append(row)
-    obj = [0] * (num_cols + num_rows + 1)
-    for row in tableau:
-        for j in range(num_cols):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
+    # Column sums of the rows; with no rows, every sum is zero.
+    sums = [sum(column) for column in zip(*tableau)] or [0] * (num_cols + 1)
+    obj = [-e for e in sums[:num_cols]] + [0] * num_rows + [-sums[-1]]
     tableau.append(obj)
     basis = [num_cols + i for i in range(num_rows)]
     _, det = _run_simplex(tableau, basis, num_cols + num_rows, 1)
@@ -202,12 +245,12 @@ def solve(lp: StandardLP) -> LPResult:
     status, det = _run_simplex(tableau, basis, num_cols, det)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    x = [Fraction(0)] * num_cols
+    numerators = [0] * num_cols
     for i, bj in enumerate(basis):
-        x[bj] = Fraction(tableau[i][-1], det)
+        numerators[bj] = tableau[i][-1]
     # The objective row ends in -det * cost_scale * c.x.
-    return LPResult(OPTIMAL, tuple(x),
-                    Fraction(-tableau[-1][-1], det * cost_scale))
+    return LPResult(OPTIMAL, tuple(numerators),
+                    Fraction(-tableau[-1][-1], det * cost_scale), det)
 
 
 def _solve_cone(vectors: Sequence, target, tail: tuple = ()) -> LPResult:

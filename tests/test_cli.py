@@ -8,6 +8,8 @@ because exhausting real memory or sending a signal is not an option.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -107,6 +109,18 @@ class TestCheckCommand:
                                 str(DATA / "func_interval.json")])
         assert code == 2
         assert b'"set" instance' in err
+
+    def test_bs_exc_certificate_of_the_dim4_box_is_pinned(self, tmp_path):
+        # 81 points, 6,561 decomposition LPs: every certificate byte of a
+        # PASS run on {-1..1}^4, pinned by its digest.
+        box = [list(p) for p in itertools.product((-1, 0, 1), repeat=4)]
+        path = write(tmp_path, "box4.json",
+                     {"kind": "set", "dim": 4, "points": box})
+        code, out, err = run_cli(["check", "bs-exc", path])
+        assert (code, err) == (0, b"")
+        assert len(out) == 617_154
+        assert hashlib.sha256(out).hexdigest() == (
+            "61807ce2e2566c3339f74905fe009256d7f2bf1fd180d5b9862337d12a66ef0d")
 
     def test_bs_convex_axiom_on_set(self):
         code, out, _ = run_cli(["check", "bs-convex",
@@ -331,6 +345,12 @@ class TestFuzzCommand:
             assert out == b""
             assert err.startswith(b"error:")
             assert err.count(b"\n") == 1
+
+    def test_negative_range_refused_by_its_flag_name(self):
+        code, out, err = run_cli(["fuzz", "--dim", "1", "--exhaustive",
+                                  "--range", "-1"])
+        assert (code, out, err) == (
+            2, b"", b"error: --range must be nonnegative\n")
 
     def test_out_file_receives_the_report(self, tmp_path):
         out_path = tmp_path / "report.json"

@@ -7,7 +7,9 @@ the lattice laws and the violation dichotomy run as hypothesis properties.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from bspoly.core import (
     DimensionMismatchError,
     PointSet,
     Verdict,
+    _jsonable,
     add,
     dot,
     join,
@@ -235,3 +238,46 @@ class TestVerdict:
         v = Verdict("PASS")
         assert v.passed
         assert v.to_jsonable() == {"status": "PASS", "witness": None}
+
+
+def exact(doc):
+    """doc with each value tagged by its type, so True and 1 differ."""
+    if isinstance(doc, list):
+        return ("list", [exact(e) for e in doc])
+    if isinstance(doc, dict):
+        return ("dict", {k: exact(v) for k, v in doc.items()})
+    return (type(doc).__name__, doc)
+
+
+class TestJsonable:
+    """The encoder's plain-int and dict shortcuts against its general path."""
+
+    def test_int_vectors_become_lists(self):
+        assert exact(_jsonable((1, -2, 0))) == exact([1, -2, 0])
+        assert exact(_jsonable([3])) == exact([3])
+        assert exact(_jsonable(())) == exact([])
+
+    def test_bool_is_not_a_plain_int(self):
+        assert exact(_jsonable((1, True))) == exact([1, True])
+
+    def test_mixed_entries_are_encoded(self):
+        assert exact(_jsonable((1, Fraction(1, 2)))) == exact([1, "1/2"])
+        assert exact(_jsonable([float("inf")])) == exact(["inf"])
+
+    def test_nested_tuples_become_nested_lists(self):
+        doc = _jsonable(((0, 1), (1, 0), ((2,),)))
+        assert exact(doc) == exact([[0, 1], [1, 0], [[2]]])
+
+    def test_dict_values_are_encoded(self):
+        doc = _jsonable({"p": (0, 1), "value": Fraction(3), "none": None})
+        assert exact(doc) == exact({"p": [0, 1], "value": "3", "none": None})
+
+    def test_mapping_proxy_and_tuple_subclass_take_the_general_path(self):
+        pair = namedtuple("Pair", "left right")
+        doc = _jsonable(MappingProxyType({"pair": pair(1, 2),
+                                          "half": pair(Fraction(1, 2), 0)}))
+        assert exact(doc) == exact({"pair": [1, 2], "half": ["1/2", 0]})
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            _jsonable((1, {2}))

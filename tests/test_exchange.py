@@ -14,7 +14,7 @@ import pytest
 import bspoly.ratlp
 import oracles
 from bspoly.bisubmod import enumerate_integer_points
-from bspoly.core import PointSet, add, phi_steps
+from bspoly.core import PointSet, add, phi_steps, violation
 from bspoly.exchange import (
     INFEASIBLE,
     POSITIVE_OPTIMUM,
@@ -117,6 +117,24 @@ class TestDecompositionType:
     def test_half_integrality_guard_is_a_solver_bug_signal(self):
         assert issubclass(HalfIntegralityViolated, RuntimeError)
 
+    def test_third_in_an_optimal_vertex_raises(self, monkeypatch):
+        real = bspoly.ratlp
+
+        class ThirdVertex:
+            """ratlp whose solve returns x = (1/3, 0, ...) at value 0."""
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def solve(self, lp):
+                numerators = (1,) + (0,) * (lp.num_cols - 1)
+                return real.LPResult(real.OPTIMAL, numerators, Fraction(0), 3)
+
+        monkeypatch.setattr("bspoly.exchange.ratlp", ThirdVertex())
+        with pytest.raises(HalfIntegralityViolated,
+                           match=r"entry 1/3 for step \(1, 1\)"):
+            decompose(CHAIN, (0, 0), (2, 2))
+
 
 class TestDecompose:
     def test_chain_uses_diagonal_step_four_times(self):
@@ -157,6 +175,33 @@ class TestDecompose:
         assert calls == []
         decompose(CHAIN, (0, 0), (2, 2))
         assert len(calls) == 1
+
+    def test_lp_has_the_violation_costs(self, monkeypatch):
+        # decompose builds its LP directly; it must equal the LP that
+        # standard_lp makes from the step columns and violation().
+        sets = convex_samples() + [HOLE, random_point_set(3, 1, 0.5, 0)]
+        sets.append(PointSet.from_points(2, [(0, 0), (1, 1), (1, -1), (2, 0)]))
+        solved = []
+        real_solve = bspoly.ratlp.solve
+        monkeypatch.setattr(bspoly.ratlp, "solve",
+                            lambda lp: solved.append(lp) or real_solve(lp))
+        checked = 0
+        for b in sets:
+            for p in b:
+                for q in b:
+                    if p == q:
+                        continue
+                    decompose(b, p, q)
+                    columns = phi_b(b, p)
+                    expected = bspoly.ratlp.standard_lp(
+                        [[alpha[u] for alpha in columns] for u in range(b.dim)],
+                        [y - x for x, y in zip(p, q)],
+                        [violation(alpha, p, q) for alpha in columns])
+                    [lp] = solved
+                    solved.clear()
+                    assert lp == expected and lp.scale == 1
+                    checked += 1
+        assert checked > 150
 
     def test_reachable_only_by_straying_steps(self):
         # (2,0)-(0,0) is in the cone of available steps but every route

@@ -248,6 +248,10 @@ class TestHarness:
         assert report.total == 3
         assert report.ok
 
+    def test_negative_grid_range_is_refused(self):
+        with pytest.raises(ValueError, match="^grid_range must be nonnegative$"):
+            exhaustive_point_sets(1, -1)
+
     def test_grid_cap_guards_blowup(self):
         with pytest.raises(ValueError):
             exhaustive_point_sets(2, 4)

@@ -24,6 +24,8 @@ from bspoly.ratlp import (
     OPTIMAL,
     UNBOUNDED,
     InexactPivot,
+    LPResult,
+    StandardLP,
     in_conical_hull,
     in_convex_hull,
     solve,
@@ -184,6 +186,33 @@ class TestRationalData:
         lp = standard_lp([[0.5, "1/3"]], [1], [1, 0])
         assert lp.a_matrix == ((Fraction(1, 2), Fraction(1, 3)),)
         assert solve(lp).x == (0, 3)
+
+    def test_integral_fractions_become_ints(self):
+        lp = standard_lp([[Fraction(4, 2), 1.0]], [Fraction(6, 3)], [0, 0])
+        assert [type(e) for e in (*lp.a_matrix[0], *lp.b_vector)] == [int] * 3
+        assert lp.scale == 1
+
+    def test_scale_is_computed_once_and_not_compared(self):
+        q = Fraction
+        lp = standard_lp([[q(1, 2), q(1, 3)]], [q(1, 4)], [1, 0])
+        assert lp.scale == 12
+        same = StandardLP(lp.a_matrix, lp.b_vector, lp.c_vector, scale=7)
+        assert same == lp and hash(same) == hash(lp)
+        assert solve(lp).x == (0, q(3, 4))
+
+    def test_result_holds_integer_numerators_over_det(self):
+        # x1 = 3/2 at the vertex of 2 x1 + x2 = 3 when x2 costs.
+        result = solve(standard_lp([[2, 1]], [3], [0, 1]))
+        assert (result.numerators, result.det) == ((3, 0), 2)
+        assert result.x == (Fraction(3, 2), 0)
+        assert all(type(e) is int for e in result.numerators)
+
+    def test_result_equality_is_on_x(self):
+        reduced = LPResult(OPTIMAL, (Fraction(1, 2), 1), Fraction(0))
+        scaled = LPResult(OPTIMAL, (1, 2), Fraction(0), 2)
+        assert scaled == reduced and hash(scaled) == hash(reduced)
+        assert scaled != LPResult(OPTIMAL, (1, 2), Fraction(0), 4)
+        assert LPResult(INFEASIBLE).x is None
 
 
 class TestIntegerTableau:
