@@ -242,18 +242,12 @@ def verdict_fail(witness: Mapping) -> Verdict:
 
 def _jsonable(obj):
     """The one output encoder: tuples become lists, a Fraction "n" or "n/d",
-    +inf "inf", and a Verdict its to_jsonable().
-
-    A tuple or list of plain ints and a dict are dispatched on their exact
-    type first; subclasses, mapping proxies and bools take the general path.
-    """
-    kind = type(obj)
-    if kind is tuple or kind is list:
+    +inf "inf", and a Verdict its to_jsonable().  A sequence of plain ints
+    (not bools) is copied without recursing."""
+    if isinstance(obj, (list, tuple)):
         if all(type(e) is int for e in obj):
             return list(obj)
         return [_jsonable(o) for o in obj]
-    if kind is dict:
-        return {k: _jsonable(v) for k, v in obj.items()}
     if obj is None or isinstance(obj, (int, str, bool)):
         return obj
     if isinstance(obj, Verdict):
@@ -262,8 +256,6 @@ def _jsonable(obj):
         return str(obj.numerator) if obj.denominator == 1 else str(obj)
     if isinstance(obj, float):
         return "inf" if obj == float("inf") else obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(o) for o in obj]
-    if isinstance(obj, Mapping):
+    if isinstance(obj, (dict, Mapping)):
         return {k: _jsonable(v) for k, v in obj.items()}
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -138,7 +138,7 @@ def decompose(B: PointSet, p: IntPoint, q: IntPoint):
     flags = [map(_OFF_SIGN[(d > 0) - (d < 0)].__getitem__, row)
              for d, row in zip(rhs, rows)]
     costs = tuple(map(sum, zip(*flags)))
-    result = ratlp.solve(ratlp.StandardLP(rows, rhs, costs, scale=1))
+    result = ratlp.solve(ratlp.StandardLP(rows, rhs, costs))
     if result.status == ratlp.INFEASIBLE:
         return NoDecomposition(p, q, INFEASIBLE)
     if result.status != ratlp.OPTIMAL:

@@ -3,7 +3,8 @@
 Solves min c.x subject to A.x = b, x >= 0 with a two-phase primal simplex
 on a fraction-free integer tableau (integer pivoting in the style of
 Edmonds and Bareiss).  A and b are scaled once by the lcm of their
-denominators and c by the lcm of its own, so every tableau entry is an int.
+denominators and c by the lcm of its own, so every tableau entry is
+integral.
 The solver keeps one running determinant det > 0 with the invariant
 
     tableau = det * true tableau,
@@ -12,11 +13,12 @@ where the true tableau is the one a rational simplex would hold.  A pivot
 updates each entry as (e * piv - f * r) / det, a division that is always
 exact; a remainder raises InexactPivot.  A StandardLP computes the lcm of
 its A and b denominators once, when it is built; with scale 1 the entries
-enter the tableau as they are.  A result carries the basic solution as
-integer numerators over the final det; its x, a tuple of Fractions, is
-built on first access.  Bland's rule (smallest-index entering column; ratio
-ties broken by smallest basic variable index, ratios compared by
-cross-multiplying) guarantees termination and fixes the pivot sequence.
+enter the tableau as they are (standard_lp stores integral entries as
+ints).  A result carries the basic solution as integral numerators over
+the final det; its x, a tuple of Fractions, is built on first access.
+Bland's rule (smallest-index entering column; ratio ties broken by
+smallest basic variable index, ratios compared by cross-multiplying)
+guarantees termination and fixes the pivot sequence.
 Optimal results are always basic feasible solutions, i.e. vertices of the
 feasible region, which is what the half-integrality guarantees downstream
 are about.
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -40,21 +43,18 @@ UNBOUNDED = "unbounded"
 class StandardLP:
     """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction.
 
-    scale is the lcm of the denominators of A and b, computed here unless
-    the caller passes it (1 for integer A and b).  It is not part of
-    equality or the hash.
+    scale is the lcm of the denominators of A and b, computed here from the
+    entries.  It is not part of equality or the hash.
     """
 
     a_matrix: tuple
     b_vector: tuple
     c_vector: tuple
-    scale: Optional[int] = field(default=None, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.scale is None:
-            object.__setattr__(self, "scale", lcm(
-                *(e.denominator for row in self.a_matrix for e in row),
-                *(e.denominator for e in self.b_vector)))
+        object.__setattr__(self, "scale", lcm(
+            *{e.denominator for e in chain(*self.a_matrix, self.b_vector)}))
 
     @property
     def num_rows(self) -> int:
@@ -92,8 +92,9 @@ def standard_lp(rows: Iterable[Iterable], rhs: Iterable, costs: Iterable) -> Sta
 class LPResult:
     """x[j] = numerators[j] / det; equality and the hash use (status, x, value).
 
-    solve gives integer numerators over its final determinant; any
-    rationals with det 1 give the same x.
+    solve gives integral numerators over its final determinant.  With det 1
+    the numerators may be any rationals, and then they are x itself; the
+    constructor takes no x.
     """
 
     status: str

@@ -250,7 +250,7 @@ def exact(doc):
 
 
 class TestJsonable:
-    """The encoder's plain-int and dict shortcuts against its general path."""
+    """The encoder's plain-int shortcut and the shapes around it."""
 
     def test_int_vectors_become_lists(self):
         assert exact(_jsonable((1, -2, 0))) == exact([1, -2, 0])
@@ -272,7 +272,7 @@ class TestJsonable:
         doc = _jsonable({"p": (0, 1), "value": Fraction(3), "none": None})
         assert exact(doc) == exact({"p": [0, 1], "value": "3", "none": None})
 
-    def test_mapping_proxy_and_tuple_subclass_take_the_general_path(self):
+    def test_mapping_proxy_and_tuple_subclass_are_encoded(self):
         pair = namedtuple("Pair", "left right")
         doc = _jsonable(MappingProxyType({"pair": pair(1, 2),
                                           "half": pair(Fraction(1, 2), 0)}))

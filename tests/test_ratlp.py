@@ -192,13 +192,23 @@ class TestRationalData:
         assert [type(e) for e in (*lp.a_matrix[0], *lp.b_vector)] == [int] * 3
         assert lp.scale == 1
 
-    def test_scale_is_computed_once_and_not_compared(self):
+    def test_scale_is_computed_from_the_entries(self):
         q = Fraction
-        lp = standard_lp([[q(1, 2), q(1, 3)]], [q(1, 4)], [1, 0])
+        lp = StandardLP(((q(1, 2), q(1, 3)),), (q(1, 4),), (1, 0))
         assert lp.scale == 12
-        same = StandardLP(lp.a_matrix, lp.b_vector, lp.c_vector, scale=7)
-        assert same == lp and hash(same) == hash(lp)
         assert solve(lp).x == (0, q(3, 4))
+        assert StandardLP(((1, -2),), (3,), (0, 0)).scale == 1
+        assert StandardLP(((), ()), (0, 0), ()).scale == 1
+        with pytest.raises(TypeError):
+            StandardLP(lp.a_matrix, lp.b_vector, lp.c_vector, scale=1)
+
+    def test_scale_is_not_compared(self):
+        lp = StandardLP(((Fraction(1, 2),),), (1,), (0,))
+        doubled = StandardLP(((1,),), (2,), (0,))
+        assert (lp.scale, doubled.scale) == (2, 1)
+        assert lp != doubled
+        assert lp == standard_lp([[Fraction(1, 2)]], [1], [0])
+        assert hash(lp) == hash(standard_lp([[0.5]], [1], [0]))
 
     def test_result_holds_integer_numerators_over_det(self):
         # x1 = 3/2 at the vertex of 2 x1 + x2 = 3 when x2 costs.
