@@ -1,18 +1,18 @@
 """PASS/FAIL checkers for the exchange axioms and hole-freeness.
 
 The exchange checkers scan ordered pairs of member points in lexicographic
-order and the hole-free checker scans B's bounding box in lexicographic
-order; each reports the first violation, so outputs are deterministic and
-goldenable.  FAIL witnesses replay against the definitions; coordinates in
-witnesses are 1-based.
+order and the hole-free checker walks the integer points of B's step-bound
+polytope in lexicographic order; each reports the first violation, so
+outputs are deterministic and goldenable.  FAIL witnesses replay against
+the definitions; coordinates in witnesses are 1-based.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from operator import mul
 
 from . import exchange, ratlp
-from .core import (PointSet, Verdict, dot, phi_steps, sub, supp,
+from .core import (PointSet, Verdict, lattice_points, phi_steps, sub, supp,
                    verdict_fail, verdict_pass)
 
 
@@ -79,16 +79,20 @@ def check_bs_exc(B: PointSet) -> Verdict:
 def check_hole_free(B: PointSet) -> Verdict:
     """Every integer point of conv(B) must belong to B.
 
-    Only the bounding box needs scanning.  A box point c with <c, s> above
-    max over B of <p, s>, for a step s, lies outside conv(B); the rest are
-    decided by an exact feasibility LP.  FAIL carries the first hole with
-    its convex coefficients over the members of B.
+    A point c with <c, s> above max over B of <p, s>, for a step s, lies
+    outside conv(B), so the candidates are the points of B's bounding box
+    under those step bounds, from core.lattice_points in lexicographic
+    order.  Each non-member among them is decided by an exact feasibility
+    LP.  FAIL carries the first hole with its convex coefficients over the
+    members of B.
     """
     _require_nonempty(B)
-    bounds = [(s, max(dot(p, s) for p in B)) for s in phi_steps(B.dim)]
+    # B's points and the steps share B.dim, so no dimension check.
+    bounds = [(s, max(sum(map(mul, p, s)) for p in B))
+              for s in phi_steps(B.dim)]
     lo, hi = B.bounding_box()
-    for candidate in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if candidate in B or any(dot(candidate, s) > h for s, h in bounds):
+    for candidate in lattice_points(lo, hi, bounds):
+        if candidate in B:
             continue
         inside, coefficients = ratlp.in_convex_hull(B.points, candidate)
         if inside:

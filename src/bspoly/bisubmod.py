@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     as_signed_vector,
     dot,
     join,
+    lattice_points,
     meet,
     norm1,
     phi_steps,
@@ -197,9 +197,8 @@ def enumerate_integer_points(f: BisubFunction,
     The singleton values confine P(f) to the product of
     [-f(-chi_u), f(+chi_u)]; a given box is intersected with those bounds,
     and a bound that stays infinite raises UnboundedEnumeration.  The
-    result may be empty.  The box is walked depth first: a constraint
-    bounds the last coordinate of its support once the ones before it are
-    fixed, so no prefix extends past a constraint it already violates.
+    result may be empty.  The points come from core.lattice_points, which
+    walks the box depth first under the finite constraints of f.
     """
     lo = [-minus for _, minus in f.singleton_values]
     hi = [plus for plus, _ in f.singleton_values]
@@ -212,27 +211,8 @@ def enumerate_integer_points(f: BisubFunction,
     if INF in hi or -INF in lo:
         raise UnboundedEnumeration(
             "no box given and some singleton value is +inf")
-    uppers = [[] for _ in range(f.dim)]
-    lowers = [[] for _ in range(f.dim)]
-    for x, v in f.finite_constraints:
-        last = max(u for u, e in enumerate(x) if e)
-        (uppers if x[last] > 0 else lowers)[last].append((x, v))
-    points = []
-
-    def extend(prefix: tuple) -> None:
-        k = len(prefix)
-        top = min([hi[k]] + [v - sum(map(mul, prefix, x))
-                             for x, v in uppers[k]])
-        bottom = max([lo[k]] + [sum(map(mul, prefix, x)) - v
-                                for x, v in lowers[k]])
-        for c in range(bottom, top + 1):
-            if k + 1 == f.dim:
-                points.append(prefix + (c,))
-            else:
-                extend(prefix + (c,))
-
-    extend(())
-    return PointSet.from_points(f.dim, points)
+    return PointSet.from_points(
+        f.dim, lattice_points(lo, hi, f.finite_constraints))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ from .core import PointSet, _jsonable, zero
 from .oracle import run_equivalence_harness
 
 
+# random_point_set lists every cell of {-r..r}^dim before it draws, so
+# fuzz refuses a larger random box up front instead of running out of memory.
+MAX_RANDOM_BOX_CELLS = 10 ** 6
+
+
 class CliError(ValueError):
     """Malformed input or arguments; reported on stderr with exit code 2."""
 
@@ -189,6 +194,11 @@ def cmd_fuzz(args) -> int:
             raise CliError("--range only applies to --exhaustive")
         if args.count < 0:
             raise CliError("--count must be nonnegative")
+        cells = (2 * args.box_radius + 1) ** args.dim
+        if cells > MAX_RANDOM_BOX_CELLS:
+            raise CliError(f"--box-radius {args.box_radius} gives {cells} "
+                           f"cells in dim {args.dim}; cap is "
+                           f"{MAX_RANDOM_BOX_CELLS}")
         point_sets = [oracle.random_point_set(args.dim, args.box_radius,
                                               args.density, args.seed + i)
                       for i in range(args.count)]

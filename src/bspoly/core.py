@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -122,6 +123,39 @@ def phi_steps(dim: int) -> tuple[Step, ...]:
             step[u], step[v] = a, b  # u == v keeps only b: a unit step
             steps.add(tuple(step))
     return tuple(sorted(steps))
+
+
+def lattice_points(lo, hi, constraints) -> Iterator[IntPoint]:
+    """Lazily yield, in lexicographic order, the integer points c with
+    lo <= c <= hi and <c, x> <= v for every (x, v) in constraints, where
+    each x is a nonzero signed vector.
+
+    The box is walked depth first.  A constraint bounds the last
+    coordinate of its support once the ones before it are fixed, so no
+    prefix extends past a constraint it already violates: the cost grows
+    with the prefixes that satisfy every constraint inside them, not with
+    the box.
+    """
+    dim = len(lo)
+    uppers = [[] for _ in range(dim)]
+    lowers = [[] for _ in range(dim)]
+    for x, v in constraints:
+        last = max(u for u, e in enumerate(x) if e)
+        (uppers if x[last] > 0 else lowers)[last].append((x, v))
+
+    def extend(prefix: tuple) -> Iterator[IntPoint]:
+        k = len(prefix)
+        top = min([hi[k]] + [v - sum(map(mul, prefix, x))
+                             for x, v in uppers[k]])
+        bottom = max([lo[k]] + [sum(map(mul, prefix, x)) - v
+                                for x, v in lowers[k]])
+        for c in range(bottom, top + 1):
+            if k + 1 == dim:
+                yield prefix + (c,)
+            else:
+                yield from extend(prefix + (c,))
+
+    yield from extend(())
 
 
 def phi_toward(p: IntPoint, q: IntPoint) -> tuple[Step, ...]:

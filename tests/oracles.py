@@ -276,6 +276,32 @@ def replay_hole_witness(b: PointSet, witness) -> bool:
                for u in range(b.dim))
 
 
+def replay_bs_convex_witness(b: PointSet, witness) -> bool:
+    """Confirm an oracle FAIL from support values taken straight from b:
+    either a violated bisubmodular inequality or integer points of the
+    support polyhedron outside b."""
+    def h(x):
+        return max(sum(a * e for a, e in zip(p, x)) for p in b)
+
+    entries = [{"x": list(x), "f": h(x)}
+               for x in signed_vectors(b.dim) if any(x)]
+    if witness["function"] != {"kind": "function", "dim": b.dim,
+                               "entries": entries}:
+        return False
+    if witness["reason"] == "support_function_not_bisubmodular":
+        v = witness["violation"]
+        x, y = v["x"], v["y"]
+        return (v["meet"] == meet(x, y) and v["join"] == join(x, y)
+                and v["lhs"] == h(x) + h(y)
+                and v["rhs"] == h(meet(x, y)) + h(join(x, y))
+                and v["lhs"] < v["rhs"])
+    extra = witness["extra_points"]
+    return bool(extra) and all(
+        p not in b and all(sum(a * e for a, e in zip(p, x)) <= h(x)
+                           for x in signed_vectors(b.dim))
+        for p in extra)
+
+
 def replay_zero_sum(b: PointSet, q, r, zse) -> bool:
     """Check a ZeroSumExchange against raw definitions only."""
     q, r = tuple(q), tuple(r)

@@ -20,7 +20,7 @@ from bspoly.axioms import (
     check_hole_free,
     check_jump_system,
 )
-from bspoly.core import PointSet
+from bspoly.core import PointSet, lattice_points
 from bspoly.oracle import exhaustive_point_sets, random_point_set
 import oracles
 from oracles import (
@@ -271,3 +271,25 @@ class TestHoleFreeStepBounds:
         verdict, calls = self.hull_calls(monkeypatch, b)
         assert verdict.passed
         assert calls == 0
+
+    @pytest.mark.parametrize("dim,length", [(2, 1500), (3, 150)])
+    def test_long_diagonal_passes_without_lp(self, monkeypatch, dim, length):
+        # The bounding box has length**dim points; the walk visits the
+        # diagonal only.
+        b = PointSet.from_points(dim, [(i,) * dim for i in range(length)])
+        verdict, calls = self.hull_calls(monkeypatch, b)
+        assert verdict.passed
+        assert calls == 0
+
+    def test_wide_square_corners_fail_after_one_lp(self, monkeypatch):
+        b = PointSet.from_points(2, itertools.product((0, 1000), repeat=2))
+        verdict, calls = self.hull_calls(monkeypatch, b)
+        assert not verdict.passed
+        assert verdict.witness["hole"] == (0, 1)
+        assert replay_hole_witness(b, verdict.witness)
+        assert calls == 1
+
+    def test_walk_is_lazy(self):
+        walk = lattice_points((0, 0, 0), (10 ** 6,) * 3, ())
+        assert next(walk) == (0, 0, 0)
+        assert next(walk) == (0, 0, 1)

@@ -352,6 +352,13 @@ class TestFuzzCommand:
         assert (code, out, err) == (
             2, b"", b"error: --range must be nonnegative\n")
 
+    def test_oversized_random_box_refused_up_front(self):
+        code, out, err = run_cli(["fuzz", "--dim", "10", "--count", "1",
+                                  "--box-radius", "2"])
+        assert (code, out, err) == (
+            2, b"", b"error: --box-radius 2 gives 9765625 cells in dim 10; "
+                    b"cap is 1000000\n")
+
     def test_out_file_receives_the_report(self, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, err = run_cli(["fuzz", "--dim", "1", "--exhaustive",

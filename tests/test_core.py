@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 
 import pytest
@@ -23,6 +24,7 @@ from bspoly.core import (
     add,
     dot,
     join,
+    lattice_points,
     meet,
     norm1,
     phi_steps,
@@ -175,6 +177,24 @@ class TestViolation:
             assert lhs > rhs
         else:
             assert lhs == rhs
+
+
+class TestLatticePoints:
+    @given(data=st.data())
+    def test_matches_the_filtered_box_scan(self, data):
+        dim = data.draw(dims)
+        lo = data.draw(points(dim))
+        hi = data.draw(points(dim))
+        constraints = data.draw(st.lists(
+            st.tuples(signed(dim).filter(any), st.integers(-4, 4)),
+            max_size=6))
+        box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        expected = [c for c in box
+                    if all(dot(c, x) <= v for x, v in constraints)]
+        assert list(lattice_points(lo, hi, constraints)) == expected
+
+    def test_empty_range_yields_nothing(self):
+        assert list(lattice_points((0, 2), (3, 1), ())) == []
 
 
 class TestPointSet:

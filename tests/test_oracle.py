@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -13,6 +14,7 @@ import pytest
 
 import bspoly.axioms
 import bspoly.oracle
+import oracles
 from bspoly import cli
 from bspoly.axioms import check_jump_system
 from bspoly.bisubmod import (
@@ -22,6 +24,7 @@ from bspoly.bisubmod import (
     feasible_directions,
 )
 from bspoly.core import PointSet, dot, signed_vectors, sub, verdict_fail, zero
+from bspoly.exchange import Decomposition
 from bspoly.oracle import (
     RejectionBudgetExceeded,
     VERDICT_ORDER,
@@ -361,3 +364,75 @@ class TestHarness:
         assert len(expected["disagreements"]) == 3
         assert out == json.dumps(expected, sort_keys=True,
                                  separators=(",", ":")) + "\n"
+
+
+def _signed_permutation(rng, dim):
+    """A random signed permutation followed by a shift of up to 50 per
+    coordinate, as a map on points, its inverse on points, and its inverse
+    on steps (which the shift leaves alone)."""
+    perm = rng.sample(range(dim), dim)
+    signs = [rng.choice((-1, 1)) for _ in range(dim)]
+    shift = [rng.randint(-50, 50) for _ in range(dim)]
+
+    def forward(p):
+        return tuple(e * p[u] + t for e, u, t in zip(signs, perm, shift))
+
+    def inverse(y, offset):
+        p = [0] * dim
+        for e, u, a, t in zip(signs, perm, y, offset):
+            p[u] = e * (a - t)
+        return tuple(p)
+
+    return (forward, lambda y: inverse(y, shift),
+            lambda y: inverse(y, [0] * dim))
+
+
+class TestSymmetry:
+    """All five verdicts are invariant under signed permutations of the
+    coordinates and integer shifts.  A permutation also changes the order
+    in which the scans and the lattice walk meet the points."""
+
+    @staticmethod
+    def sample_sets():
+        densities = (0.3, 0.6, 0.9)
+        sets = [random_point_set(2, 2, densities[seed % 3], seed)
+                for seed in range(150)]
+        sets += [random_point_set(3, 1, densities[seed % 3], seed)
+                 for seed in range(120)]
+        functions = [random_bisubmodular(2, 2, seed) for seed in range(15)]
+        functions += [random_bisubmodular_via_submodular(3, seed, max_points=15)
+                      for seed in range(15)]
+        sets += [enumerate_integer_points(f) for f in functions]
+        return [b for b in sets if len(b)]
+
+    def test_verdicts_witnesses_and_certificates(self):
+        rng = random.Random(5)
+        replays = {
+            "delta_exc": oracles.replay_delta_witness,
+            "jump_system": oracles.replay_jump_witness,
+            "hole_free": oracles.replay_hole_witness,
+            "oracle": oracles.replay_bs_convex_witness,
+            "bs_exc": lambda b, w: not oracles.brute_force_decomposition_exists(
+                b, w["p"], w["q"]),
+        }
+        seen = set()
+        for b in self.sample_sets():
+            point, back, step_back = _signed_permutation(rng, b.dim)
+            image = PointSet.from_points(b.dim, map(point, b))
+            before = bspoly.oracle._evaluate(b)
+            after = bspoly.oracle._evaluate(image)
+            for name in VERDICT_ORDER:
+                assert before[name].status == after[name].status, (b, name)
+                seen.add((name, after[name].status))
+                if not after[name].passed:
+                    assert replays[name](image, after[name].witness), (b, name)
+            if after["bs_exc"].passed:
+                certificates = after["bs_exc"].witness["decompositions"]
+                pairs = set()
+                for c in certificates:
+                    dec = Decomposition(back(c["p"]), back(c["q"]),
+                                        tuple(map(step_back, c["steps"])))
+                    assert oracles.replay_decomposition(b, dec), b
+                    pairs.add((dec.source, dec.target))
+                assert pairs == set(product(b, b))
+        assert seen == set(product(VERDICT_ORDER, ("PASS", "FAIL")))
