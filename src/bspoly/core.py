@@ -10,6 +10,7 @@ significant), which is what makes witnesses reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
@@ -230,8 +231,11 @@ class PointSet:
         """Phi_B(p) for each member p: the steps landing in the set, in
         lexicographic order.  Built on first use; not part of equality."""
         steps = phi_steps(self.dim)
+        # Points and steps share self.dim, so the sum skips add's dimension
+        # check.
         return MappingProxyType({
-            p: tuple(alpha for alpha in steps if add(p, alpha) in self._members)
+            p: tuple(alpha for alpha in steps
+                     if tuple(map(operator.add, p, alpha)) in self._members)
             for p in self.points})
 
     def bounding_box(self) -> tuple[IntPoint, IntPoint]:

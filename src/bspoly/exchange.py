@@ -72,7 +72,12 @@ def phi_b(B: PointSet, p: IntPoint) -> tuple:
 
 
 def phi_b_toward(B: PointSet, p: IntPoint, q: IntPoint) -> tuple:
-    """Steps toward q that also land in B: phi_b(B, p) meets phi_toward(p, q)."""
+    """Steps toward q that also land in B: phi_b(B, p) meets phi_toward(p, q).
+
+    This is the paper's Phi_B(p, q).  Its callers are zero_sum_exchange and
+    the tests: delta-exc and jump decide coverage from sign masks of
+    B.step_index and never build it.
+    """
     p = _require_member(B, p)
     q = _require_member(B, q)
     return tuple(a for a in B.step_index[p] if violation(a, p, q) == 0)

@@ -90,12 +90,13 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
                         max_attempts: int = 200_000) -> BisubFunction:
     """Uniformly sample integer tables until one is bisubmodular.
 
-    Acceptance collapses quickly with dimension, hence the dim cap.
+    Acceptance collapses quickly with dimension, hence the cap at dim 2:
+    at dim 3 a draw can spend its whole default budget and raise.
     random_bisubmodular_via_submodular reaches dim 3; at dim 4 its inner
     rejection sampling raises RejectionBudgetExceeded.
     """
-    if not 1 <= dim <= 3:
-        raise ValueError("rejection sampling is limited to dim <= 3")
+    if not 1 <= dim <= 2:
+        raise ValueError("rejection sampling is limited to dim <= 2")
     if value_range < 0:
         raise ValueError("value_range must be nonnegative")
     rng = random.Random(seed)

@@ -29,7 +29,6 @@ from bspoly.core import (
     join,
     meet,
     phi_steps,
-    phi_toward,
     signed_vectors,
     sub,
     supp,
@@ -51,8 +50,9 @@ def steps_toward(dim: int, p, q):
 
 
 def phi_b_toward(b: PointSet, p, q):
-    """Per-pair reference: phi_toward(p, q) filtered by membership in b."""
-    return tuple(alpha for alpha in phi_toward(p, q) if add(p, alpha) in b)
+    """Per-pair reference: steps_toward(p, q) filtered by membership in b."""
+    return tuple(alpha for alpha in steps_toward(b.dim, p, q)
+                 if add(p, alpha) in b)
 
 
 def zero_sum_exchange(b: PointSet, q, r):
@@ -117,32 +117,35 @@ def zero_sum_exchange(b: PointSet, q, r):
     return ZeroSumExchange(tuple(sorted(alphas)), tuple(sorted(betas)))
 
 
-def check_delta_exc(b: PointSet):
-    """Reference one-step exchange scan, recomputing the steps per pair."""
+def uncovered(b: PointSet):
+    """Reference coverage scan: each (p, q, u) where q - p is nonzero at
+    coordinate u but no step of phi_b_toward(b, p, q) moves it, in scan
+    order, recomputing the steps per pair."""
     for p in b:
         for q in b:
             steps = phi_b_toward(b, p, q)
             for u in supp(sub(q, p)):
                 if not any(alpha[u - 1] != 0 for alpha in steps):
-                    return verdict_fail({"p": p, "q": q, "u": u})
+                    yield p, q, u
+
+
+def check_delta_exc(b: PointSet):
+    """Reference one-step exchange scan over the per-pair coverage scan."""
+    for p, q, u in uncovered(b):
+        return verdict_fail({"p": p, "q": q, "u": u})
     return verdict_pass()
 
 
 def check_jump_system(b: PointSet):
-    """Reference two-step exchange scan, recomputing the steps per pair."""
-    for p in b:
-        for q in b:
-            steps = phi_b_toward(b, p, q)
-            for u in supp(sub(q, p)):
-                if any(alpha[u - 1] != 0 for alpha in steps):
-                    continue
-                gap = q[u - 1] - p[u - 1]
-                sign = 1 if gap > 0 else -1
-                double = tuple(e + (2 * sign if i == u - 1 else 0)
-                               for i, e in enumerate(p))
-                if abs(gap) >= 2 and double in b:
-                    continue
-                return verdict_fail({"p": p, "q": q, "u": u})
+    """Reference two-step exchange scan over the per-pair coverage scan."""
+    for p, q, u in uncovered(b):
+        gap = q[u - 1] - p[u - 1]
+        sign = 1 if gap > 0 else -1
+        double = tuple(e + (2 * sign if i == u - 1 else 0)
+                       for i, e in enumerate(p))
+        if abs(gap) >= 2 and double in b:
+            continue
+        return verdict_fail({"p": p, "q": q, "u": u})
     return verdict_pass()
 
 

@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import pytest
 
+import bspoly.exchange
 import bspoly.ratlp
 from bspoly.axioms import (
+    _uncovered,
     check_bs_exc,
     check_delta_exc,
     check_hole_free,
@@ -209,8 +211,26 @@ class TestSharedScan:
         sets = [random_point_set(3, 1, 0.6, seed) for seed in range(20)]
         sets += [random_point_set(3, 2, 0.2, seed) for seed in range(10)]
         sets += [random_point_set(4, 1, 0.3, seed) for seed in range(10)]
+        sets += [random_point_set(4, 1, 0.5, seed) for seed in range(30)]
         sets += [random_point_set(3, 1, 1.0, 0), random_point_set(4, 1, 1.0, 0)]
         self.assert_same_verdicts(sets)
+
+    def test_coverage_stream_matches_reference(self, scan_family):
+        for b in scan_family:
+            assert list(_uncovered(b)) == list(oracles.uncovered(b))
+
+    def test_scan_does_not_call_phi_b_toward(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scan filtered Phi_B(p, q) per pair")
+
+        monkeypatch.setattr(bspoly.exchange, "phi_b_toward", refuse)
+        box = PointSet.from_points(3, itertools.product((-1, 0, 1), repeat=3))
+        for b in (box, DIAGONAL):
+            assert check_delta_exc(b).passed
+            assert check_jump_system(b).passed
+        assert check_delta_exc(HOLE).witness == {"p": (0,), "q": (2,), "u": 1}
+        assert check_jump_system(HOLE).passed
+        assert not check_jump_system(WIDE_HOLE).passed
 
 
 class TestHoleFreeStepBounds:

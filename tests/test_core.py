@@ -226,6 +226,12 @@ class TestPointSet:
         assert hash(built) == hash(fresh)
         assert repr(built) == repr(fresh)
 
+    def test_step_index_matches_definition(self, scan_family):
+        for b in scan_family:
+            steps = [s for s in signed_vectors(b.dim) if 1 <= norm1(s) <= 2]
+            assert b.step_index == {
+                p: tuple(s for s in steps if add(p, s) in b) for p in b}
+
 
 class TestSupports:
     def test_one_based_indices(self):

@@ -151,8 +151,10 @@ class TestRandomBisubmodular:
         assert f == random_bisubmodular(2, 3, seed=12345)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            random_bisubmodular(4, 2, seed=0)
+        # Dim 3 is refused up front: a draw there used up its budget.
+        for dim in (3, 4):
+            with pytest.raises(ValueError):
+                random_bisubmodular(dim, 2, seed=0)
 
     def test_budget_exhaustion(self):
         with pytest.raises(RejectionBudgetExceeded):
