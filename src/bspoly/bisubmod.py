@@ -10,6 +10,7 @@ and MAX_TABLE_DIM is the largest dim whose table the command line builds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
@@ -115,13 +116,14 @@ class BisubFunction:
 def _validate_value(x, value):
     if value == INF:
         return INF
-    if isinstance(value, float):
-        raise ValueError(f"value {value!r} at {x} is neither an integer nor +inf")
-    if x == zero(len(x)):
-        if value != 0:
-            raise ValueError(f"f(0) must be 0, got {value!r}")
-        return 0
-    return int(value)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"value {value!r} at {x} is neither an integer nor +inf") from None
+    if value != 0 and x == zero(len(x)):
+        raise ValueError(f"f(0) must be 0, got {value!r}")
+    return value
 
 
 def _locally_bisubmodular(f: BisubFunction) -> bool:

@@ -32,11 +32,18 @@ def _check_same_dim(x, y) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {len(x)} vs {len(y)}")
 
 
+def _int_entries(entries: Iterable[int], what: str) -> tuple:
+    """The entries as ints, read through operator.index: a non-integer such
+    as 1.5, "7" or Fraction(1, 2) raises TypeError instead of truncating."""
+    vec = tuple(map(operator.index, entries))
+    if not vec:
+        raise ValueError(f"{what} must have dimension >= 1")
+    return vec
+
+
 def as_signed_vector(entries: Iterable[int]) -> SignedVector:
     """Validate and normalize a signed vector; entries must be -1, 0 or +1."""
-    vec = tuple(int(e) for e in entries)
-    if not vec:
-        raise ValueError("signed vector must have dimension >= 1")
+    vec = _int_entries(entries, "signed vector")
     for e in vec:
         if e not in (-1, 0, 1):
             raise ValueError(f"signed vector entry {e} not in {{-1, 0, 1}}")
@@ -44,10 +51,8 @@ def as_signed_vector(entries: Iterable[int]) -> SignedVector:
 
 
 def as_point(entries: Iterable[int]) -> IntPoint:
-    vec = tuple(int(e) for e in entries)
-    if not vec:
-        raise ValueError("point must have dimension >= 1")
-    return vec
+    """A tuple of ints; non-integer entries are refused, not truncated."""
+    return _int_entries(entries, "point")
 
 
 def zero(dim: int) -> SignedVector:
@@ -164,16 +169,7 @@ def phi_toward(p: IntPoint, q: IntPoint) -> tuple[Step, ...]:
 
     Equivalently the steps a with |q - (p+a)|_1 = |q - p|_1 - |a|_1.
     """
-    _check_same_dim(p, q)
-    diff = sub(q, p)
-    out = []
-    for alpha in phi_steps(len(p)):
-        if all(e == 0 or e * d >= 1 for e, d in zip(alpha, diff)):
-            out.append(alpha)
-            assert norm1(sub(q, add(p, alpha))) == norm1(diff) - norm1(alpha)
-        else:
-            assert norm1(sub(q, add(p, alpha))) != norm1(diff) - norm1(alpha)
-    return tuple(out)
+    return tuple(a for a in phi_steps(len(p)) if violation(a, p, q) == 0)
 
 
 def violation(r: IntPoint, p: IntPoint, q: IntPoint) -> int:
@@ -201,6 +197,7 @@ class PointSet:
 
     @staticmethod
     def from_points(dim: int, points: Iterable[Iterable[int]]) -> "PointSet":
+        """Entries are read by as_point: a non-integer raises TypeError."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
         normalized = set()

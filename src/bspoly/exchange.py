@@ -59,6 +59,11 @@ class ExchangeAxiomViolated(Exception):
         self.u = u
 
 
+def _step_sum(steps, dim: int) -> tuple:
+    """The entrywise sum of the steps; zeros when there are none."""
+    return tuple(map(sum, zip(*steps))) if steps else (0,) * dim
+
+
 def _require_member(B: PointSet, p) -> tuple:
     pt = tuple(p)
     if pt not in B:
@@ -96,11 +101,7 @@ class Decomposition:
 
     def __post_init__(self):
         doubled = tuple(2 * (b - a) for a, b in zip(self.source, self.target))
-        total = [0] * len(self.source)
-        for step in self.steps:
-            for i, e in enumerate(step):
-                total[i] += e
-        if tuple(total) != doubled:
+        if _step_sum(self.steps, len(self.source)) != doubled:
             raise ValueError("steps do not sum to twice the displacement")
 
     def multiplicities(self) -> tuple:
@@ -224,9 +225,6 @@ def zero_sum_exchange(B: PointSet, q: IntPoint, r: IntPoint) -> ZeroSumExchange:
     for side, edge, _ in cycle:
         copies = 2 if len(edge) == 1 else 1
         (betas if side else alphas).extend([step_by_edge[side][edge]] * copies)
-    total = [0] * B.dim
-    for step in alphas + betas:
-        for i, e in enumerate(step):
-            total[i] += e
-    assert all(e == 0 for e in total), "walk cycle failed to cancel"
+    total = _step_sum(alphas + betas, B.dim)
+    assert not any(total), "walk cycle failed to cancel"
     return ZeroSumExchange(tuple(sorted(alphas)), tuple(sorted(betas)))

@@ -11,11 +11,11 @@ The solver keeps one running determinant det > 0 with the invariant
 
 where the true tableau is the one a rational simplex would hold.  A pivot
 updates each entry as (e * piv - f * r) / det, a division that is always
-exact; a remainder raises InexactPivot.  A StandardLP computes the lcm of
-its A and b denominators once, when it is built; with scale 1 the entries
-enter the tableau as they are (standard_lp stores integral entries as
-ints).  A result carries the basic solution as integral numerators over
-the final det; its x, a tuple of Fractions, is built on first access.
+exact; a remainder raises InexactPivot.  solve computes the lcm of the A
+and b denominators from the entries; with lcm 1 they enter the tableau as
+they are (standard_lp stores integral entries as ints).  A result carries
+the basic solution as integral numerators over the final det; its x, a
+tuple of Fractions, is built on first access.
 Bland's rule (smallest-index entering column; ratio ties broken by
 smallest basic variable index, ratios compared by cross-multiplying)
 guarantees termination and fixes the pivot sequence.
@@ -26,7 +26,7 @@ are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -41,20 +41,11 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class StandardLP:
-    """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction.
-
-    scale is the lcm of the denominators of A and b, computed here from the
-    entries.  It is not part of equality or the hash.
-    """
+    """min c.x  s.t.  A.x = b, x >= 0; every entry an int or a Fraction."""
 
     a_matrix: tuple
     b_vector: tuple
     c_vector: tuple
-    scale: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", lcm(
-            *{e.denominator for e in chain(*self.a_matrix, self.b_vector)}))
 
     @property
     def num_rows(self) -> int:
@@ -199,7 +190,7 @@ def solve(lp: StandardLP) -> LPResult:
     # columns stay unit columns, so each artificial is rescaled too: no
     # sign or ratio order that Bland's rule tests changes, and once the
     # artificials leave, the tableau is that of the unscaled LP.
-    scale = lp.scale
+    scale = lcm(*{e.denominator for e in chain(*lp.a_matrix, lp.b_vector)})
     a_matrix, b_vector = lp.a_matrix, lp.b_vector
     if scale != 1:
         a_matrix = [_scaled(row, scale) for row in a_matrix]

@@ -73,6 +73,15 @@ class TestFromTable:
             BisubFunction.from_table(1, {(1,): 0.5})
         assert BisubFunction.from_table(1, {(1,): INF})((1,)) == INF
 
+    def test_fraction_and_string_values_rejected(self):
+        # Truncating would read Fraction(1, 2) as 0; int("7") is 7.
+        for value in (Fraction(1, 2), "7", Fraction(2, 1)):
+            with pytest.raises(ValueError, match="neither an integer"):
+                BisubFunction.from_table(1, {(1,): value})
+        with pytest.raises(ValueError, match="neither an integer"):
+            BisubFunction.from_table(1, {(0,): "0"})
+        assert BisubFunction.from_table(1, {(1,): True})((1,)) == 1
+
     def test_wrong_dimension_argument_rejected(self):
         with pytest.raises(DimensionMismatchError):
             BisubFunction.from_table(2, {(1,): 0})
@@ -261,6 +270,14 @@ class TestEnumerateIntegerPoints:
         f = BisubFunction.from_table(1, {(1,): 1})
         got = enumerate_integer_points(f, box=((-2,), (2,)))
         assert list(got) == [(-2,), (-1,), (0,), (1,)]
+
+    def test_non_integer_box_refused(self):
+        # Truncating the lower corner 1.5 would give 1, below the box.
+        f = BisubFunction.from_table(1, {(1,): 3, (-1,): 3})
+        with pytest.raises(TypeError):
+            enumerate_integer_points(f, box=((1.5,), (3,)))
+        assert list(enumerate_integer_points(f, box=((2,), (3,)))) == [
+            (2,), (3,)]
 
     def test_huge_box_tests_only_the_function_bounds(self, monkeypatch):
         calls = []

@@ -22,6 +22,7 @@ from bspoly.core import (
     Verdict,
     _jsonable,
     add,
+    as_signed_vector,
     dot,
     join,
     lattice_points,
@@ -218,6 +219,14 @@ class TestPointSet:
         with pytest.raises(DimensionMismatchError):
             PointSet.from_points(2, [(1, 2, 3)])
 
+    def test_non_integer_entries_refused(self):
+        # Truncating would give ((0, 0), (1, 0)).
+        with pytest.raises(TypeError):
+            PointSet.from_points(2, [(1.5, 0), (0.2, 0.9)])
+        with pytest.raises(TypeError):
+            PointSet.from_points(1, [(Fraction(2, 1),)])
+        assert PointSet.from_points(1, [(True,)]).points == ((1,),)
+
     def test_step_index_leaves_identity_alone(self):
         built = PointSet.from_points(2, [(0, 0), (1, 1)])
         assert built.step_index == {(0, 0): ((1, 1),), (1, 1): ((-1, -1),)}
@@ -231,6 +240,16 @@ class TestPointSet:
             steps = [s for s in signed_vectors(b.dim) if 1 <= norm1(s) <= 2]
             assert b.step_index == {
                 p: tuple(s for s in steps if add(p, s) in b) for p in b}
+
+
+class TestAsSignedVector:
+    def test_non_integer_entries_refused(self):
+        # Truncating would give (0, 1).
+        with pytest.raises(TypeError):
+            as_signed_vector((0.5, 1))
+        with pytest.raises(TypeError):
+            as_signed_vector(("1", 0))
+        assert as_signed_vector([-1, 0, 1]) == (-1, 0, 1)
 
 
 class TestSupports:

@@ -7,7 +7,7 @@ The decomposition LP is cross-checked against an exhaustive multiset search
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -178,7 +178,8 @@ class TestDecompose:
 
     def test_lp_has_the_violation_costs(self, monkeypatch):
         # decompose builds its LP directly; it must equal the LP that
-        # standard_lp makes from the step columns and violation().
+        # standard_lp makes from the step columns and violation(), with
+        # int entries only in A and b.
         sets = convex_samples() + [HOLE, random_point_set(3, 1, 0.5, 0)]
         sets.append(PointSet.from_points(2, [(0, 0), (1, 1), (1, -1), (2, 0)]))
         solved = []
@@ -199,7 +200,9 @@ class TestDecompose:
                         [violation(alpha, p, q) for alpha in columns])
                     [lp] = solved
                     solved.clear()
-                    assert lp == expected and lp.scale == 1
+                    assert lp == expected
+                    assert all(type(e) is int
+                               for e in chain(*lp.a_matrix, lp.b_vector))
                     checked += 1
         assert checked > 150
 

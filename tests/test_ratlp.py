@@ -190,23 +190,22 @@ class TestRationalData:
     def test_integral_fractions_become_ints(self):
         lp = standard_lp([[Fraction(4, 2), 1.0]], [Fraction(6, 3)], [0, 0])
         assert [type(e) for e in (*lp.a_matrix[0], *lp.b_vector)] == [int] * 3
-        assert lp.scale == 1
 
-    def test_scale_is_computed_from_the_entries(self):
+    def test_solve_scales_fractional_entries(self):
+        # solve scales A and b by 12, the lcm of their denominators.
         q = Fraction
         lp = StandardLP(((q(1, 2), q(1, 3)),), (q(1, 4),), (1, 0))
-        assert lp.scale == 12
         assert solve(lp).x == (0, q(3, 4))
-        assert StandardLP(((1, -2),), (3,), (0, 0)).scale == 1
-        assert StandardLP(((), ()), (0, 0), ()).scale == 1
-        with pytest.raises(TypeError):
-            StandardLP(lp.a_matrix, lp.b_vector, lp.c_vector, scale=1)
+        assert solve(StandardLP(((1, -2),), (3,), (0, 0))).x == (3, 0)
+        assert solve(StandardLP(((), ()), (0, 0), ())) == LPResult(
+            OPTIMAL, (), Fraction(0))
 
-    def test_scale_is_not_compared(self):
+    def test_lp_is_its_a_b_and_c(self):
+        # Three constructor arguments; equality and the hash are on them.
         lp = StandardLP(((Fraction(1, 2),),), (1,), (0,))
-        doubled = StandardLP(((1,),), (2,), (0,))
-        assert (lp.scale, doubled.scale) == (2, 1)
-        assert lp != doubled
+        with pytest.raises(TypeError):
+            StandardLP(lp.a_matrix, lp.b_vector, lp.c_vector, 1)
+        assert lp != StandardLP(((1,),), (2,), (0,))
         assert lp == standard_lp([[Fraction(1, 2)]], [1], [0])
         assert hash(lp) == hash(standard_lp([[0.5]], [1], [0]))
 
