@@ -12,8 +12,9 @@ The solver keeps one running determinant det > 0 with the invariant
 where the true tableau is the one a rational simplex would hold.  A pivot
 updates each entry as (e * piv - f * r) / det, a division that is always
 exact; a remainder raises InexactPivot.  solve computes the lcm of the A
-and b denominators from the entries; with lcm 1 they enter the tableau as
-they are (standard_lp stores integral entries as ints).  A result carries
+and b denominators only when one of their entries is not an int, and the
+same for c; ints enter the tableau as they are (standard_lp stores
+integral entries as ints).  A result carries
 the basic solution as integral numerators over the final det; its x, a
 tuple of Fractions, is built on first access.
 Bland's rule (smallest-index entering column; ratio ties broken by
@@ -160,8 +161,10 @@ def _run_simplex(tableau: list, basis: list, num_cols: int,
     num_rows = len(tableau) - 1
     while True:
         obj = tableau[num_rows]
-        enter = next((j for j in range(num_cols) if obj[j] < 0), None)
-        if enter is None:
+        for enter in range(num_cols):
+            if obj[enter] < 0:
+                break
+        else:
             return OPTIMAL, det
         leave = None
         for i in range(num_rows):
@@ -190,23 +193,30 @@ def solve(lp: StandardLP) -> LPResult:
     # columns stay unit columns, so each artificial is rescaled too: no
     # sign or ratio order that Bland's rule tests changes, and once the
     # artificials leave, the tableau is that of the unscaled LP.
-    scale = lcm(*{e.denominator for e in chain(*lp.a_matrix, lp.b_vector)})
     a_matrix, b_vector = lp.a_matrix, lp.b_vector
-    if scale != 1:
+    if set(map(type, chain(*a_matrix, b_vector))) - {int}:
+        scale = lcm(*{e.denominator for e in chain(*a_matrix, b_vector)})
         a_matrix = [_scaled(row, scale) for row in a_matrix]
         b_vector = _scaled(b_vector, scale)
-    cost_scale = lcm(*(e.denominator for e in lp.c_vector))
+    costs, cost_scale = lp.c_vector, 1
+    if set(map(type, costs)) - {int}:
+        cost_scale = lcm(*(e.denominator for e in costs))
+        costs = _scaled(costs, cost_scale)
 
     # Phase 1: artificial basis, minimize the artificial mass.
-    tableau = []
-    for i, (a_row, b) in enumerate(zip(a_matrix, b_vector)):
-        row = [-e for e in a_row] if b < 0 else list(a_row)
-        row += [0] * i + [1] + [0] * (num_rows - 1 - i)
-        row.append(abs(b))
-        tableau.append(row)
-    # Column sums of the rows; with no rows, every sum is zero.
-    sums = [sum(column) for column in zip(*tableau)] or [0] * (num_cols + 1)
-    obj = [-e for e in sums[:num_cols]] + [0] * num_rows + [-sums[-1]]
+    # Each row is sign-fixed so that its right-hand side is >= 0, and ends
+    # in its artificial's unit column and that right-hand side.
+    tableau = [[-e for e in a_row] if b < 0 else list(a_row)
+               for a_row, b in zip(a_matrix, b_vector)]
+    # The artificial mass as reduced costs: minus the column sums.
+    obj = [-sum(column) for column in zip(*tableau)] or [0] * num_cols
+    obj += [0] * num_rows
+    obj.append(-sum(map(abs, b_vector)))
+    tail = [0] * (num_rows + 1)
+    for i, (row, b) in enumerate(zip(tableau, b_vector)):
+        row += tail
+        row[num_cols + i] = 1
+        row[-1] = abs(b)
     tableau.append(obj)
     basis = [num_cols + i for i in range(num_rows)]
     _, det = _run_simplex(tableau, basis, num_cols + num_rows, 1)
@@ -214,20 +224,24 @@ def solve(lp: StandardLP) -> LPResult:
         return LPResult(INFEASIBLE)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
+    del tableau[num_rows]
     keep = []
     for i in range(num_rows):
         if basis[i] < num_cols:
             keep.append(i)
             continue
-        col = next((j for j in range(num_cols) if tableau[i][j] != 0), None)
-        if col is not None:
-            det = _pivot(tableau, basis, i, col, det)
-            keep.append(i)
-    tableau = [tableau[i][:num_cols] + tableau[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
+        for col in range(num_cols):
+            if tableau[i][col] != 0:
+                det = _pivot(tableau, basis, i, col, det)
+                keep.append(i)
+                break
+    if len(keep) < num_rows:
+        tableau = [tableau[i] for i in keep]
+        basis = [basis[i] for i in keep]
+    for row in tableau:
+        del row[num_cols:-1]
 
     # Phase 2: reduced costs of c relative to the current basis, times det.
-    costs = _scaled(lp.c_vector, cost_scale)
     obj = [det * e for e in costs] + [0]
     for i, bj in enumerate(basis):
         factor = costs[bj]

@@ -2,7 +2,8 @@
 
 Nothing here calls the code paths under test: decomposability is decided by
 exhaustive multiset search instead of the LP, and certificates are replayed
-against raw definitions.  The hole-free reference shares only the hull LP
+against raw definitions.  The bs-exc reference solves one decomposition LP
+per ordered pair, where the library decides each pair by a flow first.  The hole-free reference shares only the hull LP
 with the library, so the two give the same coefficients.  solve is the
 two-phase Bland simplex over fractions.Fraction that the library's integer
 tableau must match pivot for pivot.  enumerate_integer_points tests every
@@ -147,6 +148,24 @@ def check_jump_system(b: PointSet):
             continue
         return verdict_fail({"p": p, "q": q, "u": u})
     return verdict_pass()
+
+
+def check_bs_exc(b: PointSet):
+    """Reference half-step scan: one decomposition LP per ordered pair in
+    scan order; the first refusal is the FAIL witness, and on PASS every
+    decomposition is a certificate."""
+    certificates = []
+    for p in b:
+        for q in b:
+            result = exchange.decompose(b, p, q)
+            if isinstance(result, exchange.NoDecomposition):
+                return verdict_fail({
+                    "p": p, "q": q,
+                    "reason": result.reason,
+                    "optimal_value": result.optimal_value,
+                })
+            certificates.append({"p": p, "q": q, "steps": result.steps})
+    return verdict_pass({"decompositions": certificates})
 
 
 def check_hole_free(b: PointSet):

@@ -13,10 +13,15 @@ from fractions import Fraction
 
 import pytest
 
+import bspoly.axioms
 import bspoly.exchange
 import bspoly.ratlp
+from bspoly import cli
 from bspoly.axioms import (
+    _coverage,
+    _half_step_flow,
     _uncovered,
+    _undecomposable,
     check_bs_exc,
     check_delta_exc,
     check_hole_free,
@@ -25,6 +30,7 @@ from bspoly.axioms import (
 from bspoly.core import PointSet, lattice_points
 from bspoly.oracle import exhaustive_point_sets, random_point_set
 import oracles
+from cli_examples import DATA
 from oracles import (
     brute_force_decomposition_exists,
     replay_delta_witness,
@@ -36,6 +42,17 @@ HOLE = PointSet.from_points(1, [(0,), (2,)])
 WIDE_HOLE = PointSet.from_points(1, [(0,), (3,)])
 DIAGONAL = PointSet.from_points(2, [(0, 0), (1, 1)])
 SINGLETON = PointSet.from_points(2, [(4, -1)])
+
+
+def box(radius, dim):
+    return PointSet.from_points(
+        dim, itertools.product(range(-radius, radius + 1), repeat=dim))
+
+
+def ball(radius, dim):
+    return PointSet.from_points(dim, [
+        p for p in itertools.product(range(-radius, radius + 1), repeat=dim)
+        if sum(map(abs, p)) <= radius])
 
 
 def random_samples():
@@ -231,6 +248,97 @@ class TestSharedScan:
         assert check_delta_exc(HOLE).witness == {"p": (0,), "q": (2,), "u": 1}
         assert check_jump_system(HOLE).passed
         assert not check_jump_system(WIDE_HOLE).passed
+
+
+@pytest.fixture(scope="module")
+def flow_family():
+    """The sets the half-step flow is checked on: the 511 subsets of
+    {0,1,2}^2, random subsets of {-1..1}^3, {-1..1}^4 and {-3..3}^2, two
+    boxes and two L1 balls, and far-apart points."""
+    sets = exhaustive_point_sets(2, 2)
+    sets += [random_point_set(3, 1, 0.6, seed) for seed in range(300)]
+    sets += [random_point_set(4, 1, 0.5, seed) for seed in range(40)]
+    sets += [random_point_set(2, 3, 0.5, seed) for seed in range(100)]
+    sets += [box(3, 2), box(1, 3), ball(2, 3), ball(1, 4)]
+    sets += [PointSet.from_points(2, [(0, 0), (1000, -1000)]),
+             PointSet.from_points(2, [(0, 0), (1, -1), (1000, -1000)])]
+    return sets
+
+
+class TestHalfStepFlow:
+    """The flow that decides bs-exc against the decomposition LP."""
+
+    def test_flow_matches_the_lp_on_every_pair(self, flow_family):
+        pairs = 0
+        for b in flow_family:
+            refused = [(p, q) for p in b for q in b
+                       if not isinstance(bspoly.exchange.decompose(b, p, q),
+                                         bspoly.exchange.Decomposition)]
+            assert list(_undecomposable(b)) == refused, b
+            pairs += len(b) ** 2
+        assert pairs == 224_856
+
+    def test_verdicts_match_the_one_lp_per_pair_reference(self, flow_family):
+        for b in flow_family:
+            assert check_bs_exc(b) == oracles.check_bs_exc(b), b
+
+    def test_first_choice_of_arc_is_undone(self):
+        # p = (-1,-1,-1), q = (0,0,0): (1,0,1) + (0,1,0) reaches q, but
+        # an augmenting path that takes (1,1,0) first must undo it.
+        steps = ((0, 1, 0), (1, 0, 1), (1, 1, 0))
+        units, partners = _coverage(steps, 3)
+        assert _half_step_flow({0: 1, 2: 1, 4: 1}, units, partners)
+        p = (-1, -1, -1)
+        b = PointSet.from_points(
+            3, [p, (0, 0, 0)] + [tuple(a + e for a, e in zip(p, alpha))
+                                 for alpha in steps])
+        assert bspoly.exchange.decompose(b, p, (0, 0, 0)).steps == (
+            (0, 1, 0), (0, 1, 0), (1, 0, 1), (1, 0, 1))
+        assert (p, (0, 0, 0)) not in set(_undecomposable(b))
+
+    def test_far_apart_points_decided_by_flow(self):
+        far = (1000, -1000)
+        b = PointSet.from_points(2, [(0, 0), (1, -1), far])
+        assert _half_step_flow({0: 1000, 3: 1000}, *_coverage(
+            b.step_index[(0, 0)], 2))
+        assert list(_undecomposable(b)) == [((1, -1), far), (far, (0, 0)),
+                                            (far, (1, -1))]
+
+    def test_box_minus_a_point_solves_one_lp(self, monkeypatch):
+        # The one-LP-per-pair scan solves 6,216 LPs before the witness.
+        b = PointSet.from_points(4, [p for p in box(1, 4)
+                                     if p != (1, 1, 1, 0)])
+        expected = oracles.check_bs_exc(b)
+        calls = []
+        real = bspoly.ratlp.solve
+
+        def counted(lp):
+            calls.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(bspoly.ratlp, "solve", counted)
+        verdict = check_bs_exc(b)
+        assert len(calls) == 1
+        assert verdict == expected
+        assert verdict.witness == {"p": (1, 1, 1, -1), "q": (0, 1, 1, 1),
+                                   "reason": "infeasible",
+                                   "optimal_value": None}
+
+    @pytest.mark.parametrize("answer,b", [(True, HOLE), (False, DIAGONAL)])
+    def test_lying_flow_raises(self, monkeypatch, answer, b):
+        monkeypatch.setattr(bspoly.axioms, "_half_step_flow",
+                            lambda *args: answer)
+        with pytest.raises(RuntimeError):
+            check_bs_exc(b)
+
+    def test_lying_flow_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(bspoly.axioms, "_half_step_flow",
+                            lambda *args: True)
+        code = cli.main(["check", "bs-exc", str(DATA / "set_hole.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: the flow decomposes")
 
 
 class TestHoleFreeStepBounds:

@@ -150,9 +150,11 @@ class TestPhiToward:
     def test_zero_violation_exactly_on_directed_steps(self, data):
         dim = data.draw(dims)
         p, q = data.draw(points(dim)), data.draw(points(dim))
-        directed = set(phi_toward(p, q))
         for alpha in phi_steps(dim):
-            assert (violation(alpha, p, q) == 0) == (alpha in directed)
+            # Each nonzero entry of alpha has the sign of q - p there.
+            directed = all(e == 0 or e == (b > a) - (b < a)
+                           for e, a, b in zip(alpha, p, q))
+            assert (violation(alpha, p, q) == 0) == directed
 
 
 class TestViolation:
