@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 from typing import Iterable, Optional
 
 from . import axioms
@@ -47,9 +46,21 @@ def support_function(B: PointSet) -> BisubFunction:
     """f(x) = max over members p of <p, x>; always finite and integral."""
     if len(B) == 0:
         raise ValueError("point set must be nonempty")
-    # B's points and the arguments share B.dim, so no dimension check.
-    return BisubFunction(B.dim, tuple(max(sum(map(mul, p, x)) for p in B)
-                                      for x in signed_vectors(B.dim)))
+    rows = [_inner_products(p) for p in B]
+    if len(rows) == 1:
+        return BisubFunction(B.dim, tuple(rows[0]))
+    return BisubFunction(B.dim, tuple(map(max, *rows)))
+
+
+def _inner_products(p) -> list:
+    """<p, x> for every signed vector x, in signed_vectors order.
+
+    Each coordinate a of p extends every prefix sum by -a, 0 and a.
+    """
+    values = [0]
+    for a in p:
+        values = [v + e for v in values for e in (-a, 0, a)]
+    return values
 
 
 def function_to_jsonable(f: BisubFunction) -> dict:

@@ -194,10 +194,21 @@ class TestHalfScanMatchesReference:
         assert len(verdicts) == 3 ** 8
         assert any(verdicts) and not all(verdicts)
 
-    @pytest.mark.parametrize("dim,count", [(3, 200), (4, 40)])
+    @pytest.mark.parametrize("dim,count", [(3, 200), (4, 40), (5, 10)])
     def test_seeded_tables_with_inf(self, dim, count):
         verdicts = self.assert_same(tables_with_inf(dim, count, seed=dim))
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_two_point_support_function_fails_deep_in_the_scan(self, dim):
+        # The finite table fails the local test; its first violating pair
+        # comes after more than a sixth of all x.
+        f = support_function(PointSet.from_points(
+            dim, [zero(dim), (1, 1, 1) + zero(dim - 3)]))
+        assert self.assert_same([f]) == [False]
+        x = check_bisubmodular(f).witness["x"]
+        assert x == (-1, 0, 1) + (-1,) * (dim - 3)
+        assert bspoly.bisubmod._rank(x) > 3 ** dim // 6
 
     def test_acceptance_corpus_tables(self, instance_corpus):
         _, items = instance_corpus
@@ -228,6 +239,24 @@ class TestHalfScanMatchesReference:
         assert any(verdicts) and not all(verdicts)
         assert any(bspoly.bisubmod._locally_bisubmodular(f) and not passed
                    for f, passed in zip(tables, verdicts))
+
+
+class TestRankOffsets:
+    """The offset reads of BisubFunction against their vector definitions."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_singletons_and_constraints_on_tables_with_inf(self, dim):
+        hidden = 0
+        for f in tables_with_inf(dim, 20, seed=20 + dim):
+            units = [tuple(sign if i == u else 0 for i in range(dim))
+                     for u in range(dim) for sign in (1, -1)]
+            assert f.singleton_values == tuple(
+                zip(map(f, units[0::2]), map(f, units[1::2])))
+            assert f.finite_constraints == tuple(
+                (x, v) for x, v in f.entries()
+                if x != zero(dim) and v != INF)
+            hidden += INF in (v for pair in f.singleton_values for v in pair)
+        assert hidden
 
 
 class TestPolyhedronContains:
@@ -343,6 +372,29 @@ class TestDepthFirstMatchesReference:
             nonempty += len(self.assert_same(f, box)) > 0
         assert bisubmodular < count // 10
         assert nonempty > count // 2
+
+    def assert_strictly_increasing(self, got):
+        assert all(p < q for p, q in zip(got.points, got.points[1:]))
+        assert all(p in got for p in got.points)
+        assert all(type(c) is int for p in got.points for c in p)
+
+    def test_acceptance_corpus_tables(self, instance_corpus):
+        _, items = instance_corpus
+        for f, _ in items:
+            self.assert_strictly_increasing(self.assert_same(f))
+
+    @pytest.mark.parametrize("dim,count", [(2, 100), (3, 60)])
+    def test_tables_with_inf_in_a_box(self, dim, count):
+        # Most of these tables leave P(f) unbounded, so the box is needed.
+        box = ((-2,) * dim, (1,) * dim)
+        sizes, unbounded = [], 0
+        for f in tables_with_inf(dim, count, seed=10 + dim):
+            got = self.assert_same(f, box)
+            self.assert_strictly_increasing(got)
+            sizes.append(len(got))
+            unbounded += INF in (v for pair in f.singleton_values
+                                 for v in pair)
+        assert max(sizes) > 1 and unbounded > count // 2
 
     def test_box_that_leaves_no_points(self):
         f = support_function(PointSet.from_points(2, [(0, 0), (1, 1)]))

@@ -10,6 +10,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -71,6 +72,37 @@ class TestSupportFunction:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             support_function(PointSet.from_points(1, []))
+
+    @staticmethod
+    def assert_definition(B):
+        """The table against max over members of the inner product."""
+        values = support_function(B).values
+        assert values == tuple(max(sum(map(mul, p, x)) for p in B)
+                               for x in signed_vectors(B.dim))
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_one_point_sets_match_definition(self, dim):
+        rng = random.Random(dim)
+        for _ in range(5):
+            self.assert_definition(PointSet.from_points(
+                dim, [[rng.randint(-5, 5) for _ in range(dim)]]))
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_large_coordinates_match_definition(self, dim):
+        rng = random.Random(dim)
+        for size in (1, 2, 7):
+            self.assert_definition(PointSet.from_points(dim, [
+                [rng.choice((-10 ** 6, 10 ** 6, 10 ** 6 - 1, 0))
+                 for _ in range(dim)] for _ in range(size)]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_random_sets_match_definition(self, dim):
+        rng = random.Random(dim)
+        for _ in range(4):
+            self.assert_definition(random_point_set(
+                dim, rng.randint(1, 2), rng.choice((0.05, 0.2, 0.6)),
+                rng.randrange(2 ** 32)))
 
 
 class TestFunctionToJsonable:
