@@ -194,6 +194,19 @@ class TestRandomBisubmodular:
         with pytest.raises(RejectionBudgetExceeded):
             random_bisubmodular(2, 5, seed=0, max_attempts=1)
 
+    @pytest.mark.parametrize("dim, value_range, digest", [
+        # Width 1: every draw is 0, yet each still consumes the stream.
+        (1, 0, "a386fc51303ef9f3820fade716544d03"
+               "a9a1a7eaaae7ea0fcc444ca66f3c250a"),
+        # Width 3, which the acceptance corpus never draws.
+        (2, 1, "e9592f96ae3f9c55a69813446234bbe6"
+               "f203c5d43df2d025e8fa3429c4809820"),
+    ])
+    def test_seeded_tables_pinned(self, dim, value_range, digest):
+        tables = [random_bisubmodular(dim, value_range, seed).values
+                  for seed in range(20)]
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
 
 class TestComposedGenerator:
     def test_reproducible_and_bounded(self):
