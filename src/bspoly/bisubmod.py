@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
@@ -149,6 +149,28 @@ def _locally_bisubmodular(f: BisubFunction) -> bool:
                         if gain + values[r + b] < values[r + a + b]:
                             return False
     return True
+
+
+@cache
+def _local_rows(dim: int) -> tuple:
+    """The conditions of _locally_bisubmodular as rows (i, j, k, l), each
+    meaning values[i] + values[j] >= values[k] + values[l].
+
+    A table passes the local test iff it meets every row.  There are about
+    3^dim * dim^2 rows, so the tuple suits the samplers' small dims only;
+    _locally_bisubmodular keeps its loops for tables of any dim.
+    """
+    weights = [3 ** (dim - 1 - i) for i in range(dim)]
+    rows = []
+    for r, x in enumerate(signed_vectors(dim)):
+        free = [w for w, e in zip(weights, x) if e == 0]
+        for k, w in enumerate(free):
+            rows.append((r + w, r - w, r, r))
+            for v in free[k + 1:]:
+                for a in (w, -w):
+                    for b in (v, -v):
+                        rows.append((r + a, r + b, r, r + a + b))
+    return tuple(rows)
 
 
 # Digit tables of meet and join: entry [a + 1][b + 1] is the rank digit of

@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 from . import axioms
 from .bisubmod import (
     BisubFunction,
+    _local_rows,
     _locally_bisubmodular,
     check_bisubmodular,
     enumerate_integer_points,
@@ -27,11 +28,9 @@ from .core import (
     PointSet,
     Verdict,
     _jsonable,
-    dot,
     signed_vectors,
     verdict_fail,
     verdict_pass,
-    zero,
 )
 
 
@@ -97,9 +96,36 @@ def is_bs_convex(B: PointSet) -> Verdict:
     return verdict_pass({"function": function_to_jsonable(f)})
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list:
+    """count values of rng.randint(lo, hi), read from the same stream.
+
+    This is the loop randint runs: draw width.bit_length() bits and draw
+    again while the value is at least the width.  The values and the
+    generator's state afterwards are those of count randint calls.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(lo + r)
+    return out
+
+
 def random_bisubmodular(dim: int, value_range: int, seed: int,
                         max_attempts: int = 200_000) -> BisubFunction:
     """Uniformly sample integer tables until one is bisubmodular.
+
+    Each attempt draws the nonzero arguments' values in rank order from
+    Random.randint's stream (see _draws) and tests them against the rows
+    of the local test, so a seed gives the same table, or raises after the
+    same attempt, as one randint per value would.  Only the accepted table
+    becomes a BisubFunction.
 
     Acceptance collapses quickly with dimension, hence the cap at dim 2:
     at dim 3 a draw can spend its whole default budget and raise.
@@ -111,13 +137,15 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
     if value_range < 0:
         raise ValueError("value_range must be nonnegative")
     rng = random.Random(seed)
-    origin = zero(dim)
+    rows = _local_rows(dim)
+    size = 3 ** dim
+    center = size // 2
     for _ in range(max_attempts):
-        f = BisubFunction(dim, tuple(
-            0 if x == origin else rng.randint(-value_range, value_range)
-            for x in signed_vectors(dim)))
-        if _locally_bisubmodular(f):
-            return f
+        values = _draws(rng, -value_range, value_range, size - 1)
+        values.insert(center, 0)
+        if all(values[i] + values[j] >= values[k] + values[l]
+               for i, j, k, l in rows):
+            return BisubFunction(dim, tuple(values))
     raise RejectionBudgetExceeded(
         f"no bisubmodular table in {max_attempts} attempts "
         f"(dim={dim}, value_range={value_range}, seed={seed})")
@@ -125,13 +153,25 @@ def random_bisubmodular(dim: int, value_range: int, seed: int,
 
 def _random_monotone_submodular(rng: random.Random, dim: int) -> list:
     """Uniformly sample set functions with values in [0, 2], as lists
-    indexed by subset bitmask, until one is monotone and submodular."""
-    masks = range(2 ** dim)
+    indexed by subset bitmask, until one is monotone and submodular.
+
+    The values of the nonempty masks are drawn in mask order from
+    Random.randint's stream (see _draws).  The pairs whose inequality
+    always holds are left out: g(s) <= g(s | u) when u is in s, or when s
+    is empty, since g(0) = 0 and no value is negative; and
+    g(s) + g(t) >= g(s | t) + g(s & t) when s and t are comparable.
+    """
+    size = 2 ** dim
+    monotone = [(s, s | 1 << u) for s in range(1, size) for u in range(dim)
+                if not s >> u & 1]
+    submodular = [(s, t, s | t, s & t) for s in range(size)
+                  for t in range(s + 1, size) if s | t not in (s, t)]
     for _ in range(50_000):
-        g = [0] + [rng.randint(0, 2) for _ in masks[1:]]
-        if any(g[s] > g[s | 1 << u] for s in masks for u in range(dim)):
+        g = _draws(rng, 0, 2, size - 1)
+        g.insert(0, 0)
+        if any(g[s] > g[t] for s, t in monotone):
             continue
-        if any(g[s] + g[t] < g[s | t] + g[s & t] for s in masks for t in masks):
+        if any(g[s] + g[t] < g[u] + g[m] for s, t, u, m in submodular):
             continue
         return g
     raise RejectionBudgetExceeded(
@@ -148,21 +188,23 @@ def random_bisubmodular_via_submodular(
     translation; the sum is always bisubmodular because meet and join add
     up to the plain sum coordinatewise and the supports intersect/unite.
     Tables are rerolled until all values fit in [-5, 5] and, when
-    max_points is given, the integer-point set is that small.
+    max_points is given, the integer-point set is that small.  The
+    translation is drawn from Random.randint's stream (see _draws).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = random.Random(seed)
-    # Each argument with the bitmasks of its positive and negative support.
-    supports = [(x, sum(1 << u for u, e in enumerate(x) if e > 0),
+    # The bitmasks of each argument's positive and negative support.
+    supports = [(sum(1 << u for u, e in enumerate(x) if e > 0),
                  sum(1 << u for u, e in enumerate(x) if e < 0))
                 for x in signed_vectors(dim)]
     for _ in range(10_000):
         g_pos = _random_monotone_submodular(rng, dim)
         g_neg = _random_monotone_submodular(rng, dim)
-        shift = tuple(rng.randint(-2, 2) for _ in range(dim))
-        values = tuple(g_pos[pos] + g_neg[neg] + dot(shift, x)
-                       for x, pos, neg in supports)
+        shift = _draws(rng, -2, 2, dim)
+        values = tuple(g_pos[pos] + g_neg[neg] + moved
+                       for (pos, neg), moved in zip(supports,
+                                                    _inner_products(shift)))
         if any(abs(v) > 5 for v in values):
             continue
         f = BisubFunction(dim, values)

@@ -63,7 +63,7 @@ def instance_corpus(lp_vertex_log):
     tables from the composed generator (uniform rejection is hopeless at
     dim 3); all values lie in [-5, 5].  Returns (build_seconds, items).
     """
-    start = time.time()
+    start = time.perf_counter()
     corpus = []
     for seed in range(260):
         corpus.append(random_bisubmodular(1, 5, seed))
@@ -74,7 +74,7 @@ def instance_corpus(lp_vertex_log):
     for seed in range(120):
         corpus.append(random_bisubmodular_via_submodular(3, seed, max_points=15))
     items = [(f, enumerate_integer_points(f)) for f in corpus]
-    return time.time() - start, items
+    return time.perf_counter() - start, items
 
 
 @pytest.fixture(scope="session")
@@ -84,13 +84,13 @@ def corpus_axiom_runtimes(instance_corpus):
     Returns (elapsed_seconds, verdicts) where verdicts maps checker name to
     the list of verdicts in corpus order.
     """
-    start = time.time()
+    start = time.perf_counter()
     verdicts = {"delta_exc": [], "jump_system": [], "bs_exc": []}
     for _, points in instance_corpus[1]:
         verdicts["delta_exc"].append(check_delta_exc(points))
         verdicts["jump_system"].append(check_jump_system(points))
         verdicts["bs_exc"].append(check_bs_exc(points))
-    return time.time() - start, verdicts
+    return time.perf_counter() - start, verdicts
 
 
 criterion_lines = []
@@ -105,16 +105,16 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def dim1_exhaustive_report(lp_vertex_log):
-    start = time.time()
+    start = time.perf_counter()
     report = run_equivalence_harness(exhaustive_point_sets(1, 4))
-    return time.time() - start, report
+    return time.perf_counter() - start, report
 
 
 @pytest.fixture(scope="session")
 def dim2_exhaustive_report(lp_vertex_log):
-    start = time.time()
+    start = time.perf_counter()
     report = run_equivalence_harness(exhaustive_point_sets(2, 2))
-    return time.time() - start, report
+    return time.perf_counter() - start, report
 
 
 @pytest.fixture(scope="session")

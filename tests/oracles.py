@@ -8,25 +8,32 @@ with the library, so the two give the same coefficients.  solve is the
 two-phase Bland simplex over fractions.Fraction that the library's integer
 tableau must match pivot for pivot.  enumerate_integer_points tests every
 point of the bounding box against every constraint, where the library walks
-the box depth first.  Slow and simple on purpose.
+the box depth first.  random_bisubmodular, _random_monotone_submodular and
+random_bisubmodular_via_submodular are the sampler loops that the library's
+samplers must follow draw for draw: one randint per value, a BisubFunction
+per draw, and every pair of set masks.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from bspoly import exchange, ratlp
+from bspoly import bisubmod, exchange, ratlp
 from bspoly.bisubmod import (
     INF,
+    BisubFunction,
     UnboundedEnumeration,
+    _locally_bisubmodular,
     polyhedron_contains,
 )
 from bspoly.core import (
     PointSet,
     add,
     as_point,
+    dot,
     join,
     meet,
     phi_steps,
@@ -35,8 +42,10 @@ from bspoly.core import (
     supp,
     verdict_fail,
     verdict_pass,
+    zero,
 )
 from bspoly.exchange import ExchangeAxiomViolated, ZeroSumExchange
+from bspoly.oracle import RejectionBudgetExceeded
 from bspoly.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
@@ -218,6 +227,70 @@ def enumerate_integer_points(f, box=None) -> PointSet:
     ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
     return PointSet.from_points(f.dim, [p for p in product(*ranges)
                                         if polyhedron_contains(f, p)])
+
+
+def random_bisubmodular(dim: int, value_range: int, seed: int,
+                        max_attempts: int = 200_000) -> BisubFunction:
+    """Reference sampler: one randint per nonzero argument, a BisubFunction
+    per draw, and the local test on each."""
+    if not 1 <= dim <= 2:
+        raise ValueError("rejection sampling is limited to dim <= 2")
+    if value_range < 0:
+        raise ValueError("value_range must be nonnegative")
+    rng = random.Random(seed)
+    origin = zero(dim)
+    for _ in range(max_attempts):
+        f = BisubFunction(dim, tuple(
+            0 if x == origin else rng.randint(-value_range, value_range)
+            for x in signed_vectors(dim)))
+        if _locally_bisubmodular(f):
+            return f
+    raise RejectionBudgetExceeded(
+        f"no bisubmodular table in {max_attempts} attempts "
+        f"(dim={dim}, value_range={value_range}, seed={seed})")
+
+
+def _random_monotone_submodular(rng: random.Random, dim: int) -> list:
+    """Reference inner sampler: every (mask, coordinate) pair for
+    monotonicity and every ordered pair of masks for submodularity."""
+    masks = range(2 ** dim)
+    for _ in range(50_000):
+        g = [0] + [rng.randint(0, 2) for _ in masks[1:]]
+        if any(g[s] > g[s | 1 << u] for s in masks for u in range(dim)):
+            continue
+        if any(g[s] + g[t] < g[s | t] + g[s & t] for s in masks for t in masks):
+            continue
+        return g
+    raise RejectionBudgetExceeded(
+        "no monotone submodular table in 50000 attempts")
+
+
+def random_bisubmodular_via_submodular(dim: int, seed: int,
+                                       max_points=None) -> BisubFunction:
+    """Reference composed sampler over the reference inner sampler."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    rng = random.Random(seed)
+    supports = [(x, sum(1 << u for u, e in enumerate(x) if e > 0),
+                 sum(1 << u for u, e in enumerate(x) if e < 0))
+                for x in signed_vectors(dim)]
+    for _ in range(10_000):
+        g_pos = _random_monotone_submodular(rng, dim)
+        g_neg = _random_monotone_submodular(rng, dim)
+        shift = tuple(rng.randint(-2, 2) for _ in range(dim))
+        values = tuple(g_pos[pos] + g_neg[neg] + dot(shift, x)
+                       for x, pos, neg in supports)
+        if any(abs(v) > 5 for v in values):
+            continue
+        f = BisubFunction(dim, values)
+        if not _locally_bisubmodular(f):
+            raise RuntimeError("composed table failed the bisubmodular check")
+        if (max_points is not None
+                and len(bisubmod.enumerate_integer_points(f)) > max_points):
+            continue
+        return f
+    raise RejectionBudgetExceeded(
+        f"no table within bounds in 10000 attempts (dim={dim}, seed={seed})")
 
 
 def brute_force_decomposition_exists(b: PointSet, p, q) -> bool:

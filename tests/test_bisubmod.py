@@ -241,6 +241,27 @@ class TestHalfScanMatchesReference:
                    for f, passed in zip(tables, verdicts))
 
 
+class TestLocalRows:
+    """The row tuple of the samplers against the local test's loops."""
+
+    @staticmethod
+    def meets_rows(values, dim):
+        return all(values[i] + values[j] >= values[k] + values[l]
+                   for i, j, k, l in bspoly.bisubmod._local_rows(dim))
+
+    @pytest.mark.parametrize("dim, entries", [(1, range(-5, 6)),
+                                              (2, (-1, 0, 1))])
+    def test_every_small_table(self, dim, entries):
+        center = 3 ** dim // 2
+        verdicts = []
+        for drawn in product(entries, repeat=3 ** dim - 1):
+            f = BisubFunction(dim, drawn[:center] + (0,) + drawn[center:])
+            verdicts.append(bspoly.bisubmod._locally_bisubmodular(f))
+            assert self.meets_rows(f.values, dim) == verdicts[-1]
+        assert len(verdicts) == len(entries) ** (3 ** dim - 1)
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestRankOffsets:
     """The offset reads of BisubFunction against their vector definitions."""
 

@@ -9,7 +9,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from operator import mul
 
 import pytest
@@ -220,6 +220,92 @@ class TestComposedGenerator:
     def test_max_points_cap_respected(self):
         f = random_bisubmodular_via_submodular(3, seed=11, max_points=15)
         assert 1 <= len(enumerate_integer_points(f)) <= 15
+
+
+class _TableFeed:
+    """Stands in for random.Random: hands out one table's values, then
+    zeros, to getrandbits (the library's draws) or to randint (the
+    reference's).  Values within the drawn width are taken as they come."""
+
+    def __init__(self, values):
+        self._values = chain(values, repeat(0))
+
+    def getrandbits(self, bits):
+        return next(self._values)
+
+    def randint(self, lo, hi):
+        return next(self._values)
+
+
+class TestSamplersFollowReference:
+    """The samplers against the reference loops in tests/oracles.py, which
+    call randint once per value and build a BisubFunction per draw."""
+
+    @staticmethod
+    def outcome(sampler, *args, **kwargs):
+        try:
+            return sampler(*args, **kwargs).values
+        except RejectionBudgetExceeded:
+            return None
+
+    @pytest.mark.parametrize("width", range(1, 22))
+    def test_draws_follow_randint_stream(self, width):
+        for seed in range(50):
+            lo = seed % 7 - 3
+            hi = lo + width - 1
+            ours, theirs = random.Random(seed), random.Random(seed)
+            count = 1 + seed % 30
+            assert (bspoly.oracle._draws(ours, lo, hi, count)
+                    == [theirs.randint(lo, hi) for _ in range(count)])
+            assert ours.random() == theirs.random()
+
+    def test_draws_refuse_an_empty_range(self):
+        with pytest.raises(ValueError):
+            bspoly.oracle._draws(random.Random(0), 1, 0, 1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("value_range", [0, 1, 2, 3])
+    def test_every_attempt_aligned(self, dim, value_range):
+        # Seeds 4 and 6 accept a dim-2 range-1 table at attempts 29 and 4,
+        # seed 2 a range-3 table at attempt 15: each budget below and above
+        # those attempts must agree.
+        for seed in (0, 2, 4, 6):
+            for budget in range(1, 41):
+                assert (self.outcome(random_bisubmodular, dim, value_range,
+                                     seed, max_attempts=budget)
+                        == self.outcome(oracles.random_bisubmodular, dim,
+                                        value_range, seed,
+                                        max_attempts=budget))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("max_points", [None, 15])
+    def test_composed_tables_equal(self, dim, max_points):
+        for seed in range(30):
+            assert (random_bisubmodular_via_submodular(
+                        dim, seed, max_points=max_points).values
+                    == oracles.random_bisubmodular_via_submodular(
+                        dim, seed, max_points=max_points).values)
+
+    def test_dim4_raises_in_both(self):
+        for seed in range(3):
+            for sampler in (random_bisubmodular_via_submodular,
+                            oracles.random_bisubmodular_via_submodular):
+                with pytest.raises(RejectionBudgetExceeded):
+                    sampler(4, seed)
+
+    def test_pair_lists_decide_every_dim3_table(self):
+        # Each table of {0, 1, 2}^7 is fed first; a rejected one is
+        # followed by the zero table, which both samplers accept.
+        accepted = 0
+        for drawn in product((0, 1, 2), repeat=7):
+            table = [0, *drawn]
+            ours = bspoly.oracle._random_monotone_submodular(
+                _TableFeed(drawn), 3)
+            assert ours == oracles._random_monotone_submodular(
+                _TableFeed(drawn), 3)
+            assert ours in (table, [0] * 8)
+            accepted += ours == table
+        assert 1 < accepted < 3 ** 7
 
 
 class TestCorpusPinned:
