@@ -13,7 +13,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -263,9 +262,6 @@ class Verdict:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def to_jsonable(self) -> dict:
-        return {"status": self.status, "witness": _jsonable(self.witness)}
-
 
 def verdict_pass(witness: Optional[Mapping] = None) -> Verdict:
     return Verdict(PASS, witness)
@@ -273,24 +269,3 @@ def verdict_pass(witness: Optional[Mapping] = None) -> Verdict:
 
 def verdict_fail(witness: Mapping) -> Verdict:
     return Verdict(FAIL, witness)
-
-
-def _jsonable(obj):
-    """The one output encoder: tuples become lists, a Fraction "n" or "n/d",
-    +inf "inf", and a Verdict its to_jsonable().  A sequence of plain ints
-    (not bools) is copied without recursing."""
-    if isinstance(obj, (list, tuple)):
-        if all(type(e) is int for e in obj):
-            return list(obj)
-        return [_jsonable(o) for o in obj]
-    if obj is None or isinstance(obj, (int, str, bool)):
-        return obj
-    if isinstance(obj, Verdict):
-        return obj.to_jsonable()
-    if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else str(obj)
-    if isinstance(obj, float):
-        return "inf" if obj == float("inf") else obj
-    if isinstance(obj, (dict, Mapping)):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")

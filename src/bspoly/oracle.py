@@ -27,7 +27,6 @@ from .bisubmod import (
 from .core import (
     PointSet,
     Verdict,
-    _jsonable,
     signed_vectors,
     verdict_fail,
     verdict_pass,
@@ -42,13 +41,16 @@ class RejectionBudgetExceeded(RuntimeError):
 
 
 def support_function(B: PointSet) -> BisubFunction:
-    """f(x) = max over members p of <p, x>; always finite and integral."""
+    """f(x) = max over members p of <p, x>; always finite and integral.
+    Rows are folded 64 members at a time, so at most 65 are alive."""
     if len(B) == 0:
         raise ValueError("point set must be nonempty")
-    rows = [_inner_products(p) for p in B]
-    if len(rows) == 1:
-        return BisubFunction(B.dim, tuple(rows[0]))
-    return BisubFunction(B.dim, tuple(map(max, *rows)))
+    points = B.points
+    values = _inner_products(points[0])
+    for start in range(1, len(points), 64):
+        rows = map(_inner_products, points[start:start + 64])
+        values = list(map(max, values, *rows))
+    return BisubFunction(B.dim, tuple(values))
 
 
 def _inner_products(p) -> list:
@@ -279,15 +281,16 @@ class EquivalenceReport:
         return not self.disagreements and not self.implication_violations
 
     def to_jsonable(self) -> dict:
+        """The output document; its records are not copied (cli.emit)."""
         counts = [{"verdicts": dict(zip(VERDICT_ORDER, statuses)),
                    "count": count}
                   for statuses, count in self.counts]
-        return _jsonable({
+        return {
             "total": self.total,
             "counts": counts,
             "disagreements": self.disagreements,
             "implication_violations": self.implication_violations,
-        })
+        }
 
 
 def _evaluate(B: PointSet) -> dict:

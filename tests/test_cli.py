@@ -186,6 +186,10 @@ class TestCheckCommand:
         assert err == b""
         assert out == (b'{"status":"FAIL","witness":{"join":[1,1],"lhs":0,'
                        b'"meet":[0,0],"rhs":"inf","x":[0,1],"y":[1,0]}}\n')
+        code, out, err = run_cli(["check", "--pretty", "bisubmodular", path])
+        assert (code, err) == (1, b"")
+        assert b'\n    "rhs": "inf",\n' in out
+        assert b"Infinity" not in out
 
     def test_zero_argument_entry_is_ignored(self, tmp_path):
         path = write(tmp_path, "zero.json", {

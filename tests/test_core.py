@@ -1,4 +1,5 @@
-"""Signed-vector algebra, step sets, the violation function, and containers.
+"""Signed-vector algebra, step sets, the violation function, containers,
+and the bytes cli.emit writes for a Verdict and the values it holds.
 
 Derived example values are frozen from an independent brute-force route
 (the norm identity for directed steps, explicit enumeration for counts);
@@ -7,7 +8,10 @@ the lattice laws and the violation dichotomy run as hypothesis properties.
 
 from __future__ import annotations
 
+import io
+import json
 from collections import namedtuple
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
@@ -16,11 +20,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bspoly import cli
 from bspoly.core import (
     DimensionMismatchError,
     PointSet,
     Verdict,
-    _jsonable,
     add,
     as_signed_vector,
     dot,
@@ -264,6 +268,15 @@ class TestSupports:
             dot((1, 2), (1,))
 
 
+def emitted(doc, pretty=False):
+    """The text cli.emit writes for doc, without its final newline."""
+    with redirect_stdout(io.StringIO()) as out:
+        cli.emit(doc, pretty)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    return text[:-1]
+
+
 class TestVerdict:
     def test_jsonable_payload(self):
         v = Verdict("FAIL", {
@@ -272,59 +285,59 @@ class TestVerdict:
             "coeff": Fraction(1, 2),
             "count": Fraction(4, 2),
         })
-        doc = v.to_jsonable()
-        assert doc == {"status": "FAIL", "witness": {
-            "pair": [[0, 1], [1, 0]],
-            "value": "inf",
-            "coeff": "1/2",
-            "count": "2",
-        }}
+        assert emitted(v) == ('{"status":"FAIL","witness":{"coeff":"1/2",'
+                              '"count":"2","pair":[[0,1],[1,0]],'
+                              '"value":"inf"}}')
+        assert json.loads(emitted(v, pretty=True)) == json.loads(emitted(v))
         assert not v.passed
 
     def test_pass_without_witness(self):
         v = Verdict("PASS")
         assert v.passed
-        assert v.to_jsonable() == {"status": "PASS", "witness": None}
-
-
-def exact(doc):
-    """doc with each value tagged by its type, so True and 1 differ."""
-    if isinstance(doc, list):
-        return ("list", [exact(e) for e in doc])
-    if isinstance(doc, dict):
-        return ("dict", {k: exact(v) for k, v in doc.items()})
-    return (type(doc).__name__, doc)
+        assert emitted(v) == '{"status":"PASS","witness":null}'
 
 
 class TestJsonable:
-    """The encoder's plain-int shortcut and the shapes around it."""
+    """What cli.emit writes for the types the checkers return."""
 
     def test_int_vectors_become_lists(self):
-        assert exact(_jsonable((1, -2, 0))) == exact([1, -2, 0])
-        assert exact(_jsonable([3])) == exact([3])
-        assert exact(_jsonable(())) == exact([])
+        assert emitted((1, -2, 0)) == "[1,-2,0]"
+        assert emitted([3]) == "[3]"
+        assert emitted(()) == "[]"
 
     def test_bool_is_not_a_plain_int(self):
-        assert exact(_jsonable((1, True))) == exact([1, True])
+        assert emitted((1, True)) == "[1,true]"
 
     def test_mixed_entries_are_encoded(self):
-        assert exact(_jsonable((1, Fraction(1, 2)))) == exact([1, "1/2"])
-        assert exact(_jsonable([float("inf")])) == exact(["inf"])
+        assert emitted((1, Fraction(1, 2))) == '[1,"1/2"]'
+        assert emitted(Verdict("FAIL", {"lhs": 0, "rhs": float("inf")})) == (
+            '{"status":"FAIL","witness":{"lhs":0,"rhs":"inf"}}')
+
+    def test_nested_inf_is_refused(self, capsys):
+        for doc in ([float("inf")],
+                    Verdict("FAIL", {"pair": (0, float("inf"))}),
+                    {"witness": {"rhs": float("inf")}}):
+            for pretty in (False, True):
+                with pytest.raises(ValueError):
+                    cli.emit(doc, pretty)
+                assert capsys.readouterr().out == ""
 
     def test_nested_tuples_become_nested_lists(self):
-        doc = _jsonable(((0, 1), (1, 0), ((2,),)))
-        assert exact(doc) == exact([[0, 1], [1, 0], [[2]]])
+        assert emitted(((0, 1), (1, 0), ((2,),))) == "[[0,1],[1,0],[[2]]]"
 
     def test_dict_values_are_encoded(self):
-        doc = _jsonable({"p": (0, 1), "value": Fraction(3), "none": None})
-        assert exact(doc) == exact({"p": [0, 1], "value": "3", "none": None})
+        doc = {"p": (0, 1), "value": Fraction(3), "none": None}
+        assert emitted(doc) == '{"none":null,"p":[0,1],"value":"3"}'
 
     def test_mapping_proxy_and_tuple_subclass_are_encoded(self):
         pair = namedtuple("Pair", "left right")
-        doc = _jsonable(MappingProxyType({"pair": pair(1, 2),
-                                          "half": pair(Fraction(1, 2), 0)}))
-        assert exact(doc) == exact({"pair": [1, 2], "half": ["1/2", 0]})
+        doc = MappingProxyType({"pair": pair(1, 2),
+                                "half": pair(Fraction(1, 2), 0)})
+        assert emitted(doc) == '{"half":["1/2",0],"pair":[1,2]}'
+        assert emitted(doc, pretty=True) == (
+            '{\n  "half": [\n    "1/2",\n    0\n  ],\n'
+            '  "pair": [\n    1,\n    2\n  ]\n}')
 
     def test_unknown_type_is_refused(self):
         with pytest.raises(TypeError, match="cannot serialize set"):
-            _jsonable((1, {2}))
+            emitted((1, {2}))

@@ -104,6 +104,19 @@ class TestSupportFunction:
                 dim, rng.randint(1, 2), rng.choice((0.05, 0.2, 0.6)),
                 rng.randrange(2 ** 32)))
 
+    @pytest.mark.parametrize("size", [64, 65, 129])
+    def test_member_counts_around_the_fold_match_definition(self, size):
+        # Rows are folded 64 members at a time after the first; the last
+        # member in order, (9, 9, 9), alone attains f(1, 1, 1).
+        rng = random.Random(size)
+        points = {(9, 9, 9)}
+        while len(points) < size:
+            points.add(tuple(rng.randint(-5, 5) for _ in range(3)))
+        B = PointSet.from_points(3, points)
+        assert len(B) == size and B.points[-1] == (9, 9, 9)
+        self.assert_definition(B)
+        assert support_function(B)((1, 1, 1)) == 27
+
 
 class TestFunctionToJsonable:
     def test_shape_and_finite_entries_only(self):
@@ -402,9 +415,12 @@ class TestHarness:
         with pytest.raises(ValueError, match="cap is 16"):
             exhaustive_point_sets(5, 1)
 
-    def test_report_jsonable_shape(self):
+    def test_report_jsonable_shape(self, capsys):
         report = run_equivalence_harness([HOLE])
-        doc = report.to_jsonable()
+        [built] = report.to_jsonable()["counts"]
+        assert list(built["verdicts"]) == list(VERDICT_ORDER)
+        cli.emit(report.to_jsonable(), False)
+        doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == 1
         assert doc["disagreements"] == []
         assert doc["implication_violations"] == []
@@ -412,7 +428,7 @@ class TestHarness:
         assert row["count"] == 1
         assert row["verdicts"]["jump_system"] == "PASS"
         assert row["verdicts"]["delta_exc"] == "FAIL"
-        assert list(row["verdicts"]) == list(VERDICT_ORDER)
+        assert sorted(row["verdicts"]) == sorted(VERDICT_ORDER)
 
     def test_every_checker_call_runs_in_process(self, monkeypatch):
         sets = exhaustive_point_sets(1, 2)
@@ -428,6 +444,27 @@ class TestHarness:
         report = run_equivalence_harness(sets)
         assert len(calls) == 7
         assert report.to_jsonable() == expected
+
+    def test_random_sets_are_drawn_as_the_harness_reaches_them(
+            self, monkeypatch, capsys):
+        log = []
+        draw = bspoly.oracle.random_point_set
+        check = bspoly.axioms.check_delta_exc
+
+        def logged_draw(*args):
+            log.append("draw")
+            return draw(*args)
+
+        def logged_check(B):
+            log.append("check")
+            return check(B)
+
+        monkeypatch.setattr(bspoly.oracle, "random_point_set", logged_draw)
+        monkeypatch.setattr(bspoly.axioms, "check_delta_exc", logged_check)
+        code = cli.main(["fuzz", "--dim", "2", "--count", "4", "--seed", "3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 4
+        assert log == ["draw", "check"] * 4
 
     def test_verdicts_of_agreeing_sets_are_not_retained(self, monkeypatch):
         real = bspoly.axioms.check_bs_exc
@@ -476,7 +513,8 @@ class TestHarness:
             "jump_system": forced,
             "hole_free": {"status": "PASS", "witness": None},
         }
-        assert report.to_jsonable() == {
+        cli.emit(report.to_jsonable(), False)
+        assert json.loads(capsys.readouterr().out) == {
             "total": 1,
             "counts": [{"verdicts": {"delta_exc": "PASS", "bs_exc": "FAIL",
                                      "oracle": "PASS", "jump_system": "FAIL",
@@ -494,8 +532,9 @@ class TestHarness:
         expected = run_equivalence_harness(
             exhaustive_point_sets(1, 1)).to_jsonable()
         assert len(expected["disagreements"]) == 3
-        assert out == json.dumps(expected, sort_keys=True,
-                                 separators=(",", ":")) + "\n"
+        cli.emit(expected, False)
+        assert out == capsys.readouterr().out
+        assert json.loads(out)["disagreements"][0]["bs_exc"] == forced
 
 
 def _signed_permutation(rng, dim):
