@@ -10,9 +10,10 @@ separators, so identical invocations are byte-identical; --pretty trades
 that for readability.
 +inf is spelled "inf" in instance files and output, since JSON has no
 infinity literal.
-emit is the one encoder: json.dumps writes the verdict as it is, without a
-copy, so check bs-exc on {-1..1}^5 prints 7.1 MB at a peak of about 48 MB
-RSS.
+emit is the one encoder, and this module alone knows an output shape: a
+function is written as the instance file load_instance reads.  json.dumps
+writes the verdict as it is, without a copy, so check bs-exc on {-1..1}^5
+prints 7.1 MB at a peak of about 48 MB RSS.
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def _parse_point(text: str, dim: int) -> tuple:
 
 def _encoded(obj):
     """What json cannot write: a Fraction as "n" or "n/d", a Verdict as its
-    status and witness with a top-level +inf value as "inf", and any other
-    mapping as a dict.  Any other infinity makes emit raise ValueError."""
+    status and witness with a top-level +inf value as "inf", a BisubFunction
+    as the instance file load_instance reads, an EquivalenceReport as the
+    fuzz report with uncopied records, and any other mapping as a dict.
+    Any other infinity makes emit raise ValueError."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Verdict):
@@ -130,6 +133,15 @@ def _encoded(obj):
             witness = {key: "inf" if value == INF else value
                        for key, value in witness.items()}
         return {"status": obj.status, "witness": witness}
+    if isinstance(obj, BisubFunction):
+        entries = [{"x": x, "f": value} for x, value in obj.finite_constraints]
+        return {"kind": "function", "dim": obj.dim, "entries": entries}
+    if isinstance(obj, oracle.EquivalenceReport):
+        counts = [{"verdicts": dict(zip(oracle.VERDICT_ORDER, statuses)),
+                   "count": count} for statuses, count in obj.counts]
+        return {"total": obj.total, "counts": counts,
+                "disagreements": obj.disagreements,
+                "implication_violations": obj.implication_violations}
     if isinstance(obj, Mapping):
         return dict(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -202,8 +214,10 @@ def cmd_fuzz(args) -> int:
     if args.exhaustive:
         if args.range is None:
             raise CliError("--exhaustive requires --range")
-        if args.count is not None:
-            raise CliError("--count does not apply to --exhaustive")
+        for flag in ("count", "seed", "box_radius", "density"):
+            if getattr(args, flag) is not None:
+                raise CliError(f"--{flag.replace('_', '-')} does not apply "
+                               f"to --exhaustive")
         if args.range < 0:
             raise CliError("--range must be nonnegative")
         point_sets = oracle.exhaustive_point_sets(args.dim, args.range)
@@ -214,17 +228,19 @@ def cmd_fuzz(args) -> int:
             raise CliError("--range only applies to --exhaustive")
         if args.count < 0:
             raise CliError("--count must be nonnegative")
-        cells = (2 * args.box_radius + 1) ** args.dim
+        seed = 0 if args.seed is None else args.seed
+        radius = 2 if args.box_radius is None else args.box_radius
+        density = 0.5 if args.density is None else args.density
+        cells = (2 * radius + 1) ** args.dim
         if cells > MAX_RANDOM_BOX_CELLS:
-            raise CliError(f"--box-radius {args.box_radius} gives {cells} "
-                           f"cells in dim {args.dim}; cap is "
-                           f"{MAX_RANDOM_BOX_CELLS}")
-        # Drawn lazily, so each checked set is freed before the next draw.
-        point_sets = (oracle.random_point_set(args.dim, args.box_radius,
-                                              args.density, args.seed + i)
+            raise CliError(f"--box-radius {radius} gives {cells} cells in "
+                           f"dim {args.dim}; cap is {MAX_RANDOM_BOX_CELLS}")
+        point_sets = (oracle.random_point_set(args.dim, radius, density,
+                                              seed + i)
                       for i in range(args.count))
+    # Both sources are lazy, so each checked set is freed before the next.
     report = run_equivalence_harness(point_sets)
-    emit(report.to_jsonable(), args.pretty, args.out)
+    emit(report, args.pretty, args.out)
     return 0 if report.ok else 1
 
 
@@ -267,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--range", type=int, default=None)
     fuzz.add_argument("--count", type=int, default=None,
                       help="number of seeded random point sets")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--box-radius", type=int, default=2)
-    fuzz.add_argument("--density", type=float, default=0.5)
+    fuzz.add_argument("--seed", type=int, default=None)
+    fuzz.add_argument("--box-radius", type=int, default=None)
+    fuzz.add_argument("--density", type=float, default=None)
     fuzz.add_argument("--out", default=None,
                       help="write the report to this path instead of stdout")
     fuzz.set_defaults(handler=cmd_fuzz)

@@ -4,9 +4,9 @@ The oracle decides BS-convexity without touching the exchange machinery: it
 builds the support function of the input set, checks bisubmodularity of
 that table, and re-enumerates the integer points of its polyhedron.  The
 axiom checkers and the oracle are three independent routes to the same
-answer.  The harness runs all of them on the point sets it is given, such
-as exhaustive_point_sets or a list of random_point_set draws, and treats
-any disagreement as a fatal finding to be reported, never auto-resolved.
+answer.  The harness runs all of them on the point sets it is given, one
+at a time from an iterator such as exhaustive_point_sets, and treats any
+disagreement as a fatal finding to be reported, never auto-resolved.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import axioms
 from .bisubmod import (
@@ -64,12 +64,6 @@ def _inner_products(p) -> list:
     return values
 
 
-def function_to_jsonable(f: BisubFunction) -> dict:
-    """Instance-file shape for a function: explicit finite entries only."""
-    entries = [{"x": list(x), "f": value} for x, value in f.finite_constraints]
-    return {"kind": "function", "dim": f.dim, "entries": entries}
-
-
 def is_bs_convex(B: PointSet) -> Verdict:
     """Decide whether B is exactly the integer-point set of the polyhedron
     of its own support function.
@@ -84,7 +78,7 @@ def is_bs_convex(B: PointSet) -> Verdict:
         return verdict_fail({
             "reason": "support_function_not_bisubmodular",
             "violation": table_check.witness,
-            "function": function_to_jsonable(f),
+            "function": f,
         })
     # Every member p of B has <p, x> <= f(x): the round trip only adds points.
     extra = tuple(p for p in enumerate_integer_points(f) if p not in B)
@@ -93,9 +87,9 @@ def is_bs_convex(B: PointSet) -> Verdict:
             "reason": "round_trip_mismatch",
             "extra_points": extra,
             "missing_points": (),
-            "function": function_to_jsonable(f),
+            "function": f,
         })
-    return verdict_pass({"function": function_to_jsonable(f)})
+    return verdict_pass({"function": f})
 
 
 def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list:
@@ -240,9 +234,10 @@ def random_point_set(dim: int, box_radius: int, density: float,
         f"(dim={dim}, density={density}, seed={seed})")
 
 
-def exhaustive_point_sets(dim: int, grid_range: int) -> list:
+def exhaustive_point_sets(dim: int, grid_range: int) -> Iterator[PointSet]:
     """Every nonempty subset of the grid {0..grid_range}^dim, in bitmask
-    order; the grid may have at most 16 cells."""
+    order, as a one-shot iterator that builds each set when it is reached;
+    the arguments and the 16-cell cap of the grid are checked at the call."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if grid_range < 0:
@@ -253,9 +248,9 @@ def exhaustive_point_sets(dim: int, grid_range: int) -> list:
             f"grid has {cell_count} cells; cap is {_MAX_GRID_CELLS} "
             f"(2^cells instances)")
     cells = list(product(range(grid_range + 1), repeat=dim))
-    return [PointSet.from_points(
+    return (PointSet.from_points(
                 dim, [cells[i] for i in range(len(cells)) if mask >> i & 1])
-            for mask in range(1, 2 ** len(cells))]
+            for mask in range(1, 2 ** len(cells)))
 
 
 VERDICT_ORDER = ("delta_exc", "bs_exc", "oracle", "jump_system", "hole_free")
@@ -266,7 +261,7 @@ class EquivalenceReport:
     """Tally of the five checkers across a batch of instances.
 
     Any disagreement among the one-step checker, the half-step checker and
-    the oracle is a fatal finding, serialized in full; so is a violated
+    the oracle is a fatal finding, kept in full for cli.emit; so is a violated
     one-way implication (one-step passing but the jump-system or hole-free
     checker failing).
     """
@@ -279,18 +274,6 @@ class EquivalenceReport:
     @property
     def ok(self) -> bool:
         return not self.disagreements and not self.implication_violations
-
-    def to_jsonable(self) -> dict:
-        """The output document; its records are not copied (cli.emit)."""
-        counts = [{"verdicts": dict(zip(VERDICT_ORDER, statuses)),
-                   "count": count}
-                  for statuses, count in self.counts]
-        return {
-            "total": self.total,
-            "counts": counts,
-            "disagreements": self.disagreements,
-            "implication_violations": self.implication_violations,
-        }
 
 
 def _evaluate(B: PointSet) -> dict:

@@ -122,7 +122,7 @@ def scan_family():
     """The 641 sets the step index and the coverage scan are checked on:
     the 511 subsets of {0,1,2}^2, then 100 dim-3 and 30 dim-4 random
     subsets of {-1..1}^dim at density 0.5."""
-    sets = exhaustive_point_sets(2, 2)
+    sets = list(exhaustive_point_sets(2, 2))
     sets += [random_point_set(3, 1, 0.5, seed) for seed in range(100)]
     sets += [random_point_set(4, 1, 0.5, seed) for seed in range(30)]
     return sets

@@ -378,10 +378,8 @@ def replay_bs_convex_witness(b: PointSet, witness) -> bool:
     def h(x):
         return max(sum(a * e for a, e in zip(p, x)) for p in b)
 
-    entries = [{"x": list(x), "f": h(x)}
-               for x in signed_vectors(b.dim) if any(x)]
-    if witness["function"] != {"kind": "function", "dim": b.dim,
-                               "entries": entries}:
+    f = witness["function"]
+    if f.dim != b.dim or f.values != tuple(map(h, signed_vectors(b.dim))):
         return False
     if witness["reason"] == "support_function_not_bisubmodular":
         v = witness["violation"]

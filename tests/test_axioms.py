@@ -220,7 +220,7 @@ class TestSharedScan:
             assert check_jump_system(b) == oracles.check_jump_system(b)
 
     def test_all_subsets_of_the_dim2_grid(self):
-        sets = exhaustive_point_sets(2, 2)
+        sets = list(exhaustive_point_sets(2, 2))
         assert len(sets) == 511
         self.assert_same_verdicts(sets)
 
@@ -255,7 +255,7 @@ def flow_family():
     """The sets the half-step flow is checked on: the 511 subsets of
     {0,1,2}^2, random subsets of {-1..1}^3, {-1..1}^4 and {-3..3}^2, two
     boxes and two L1 balls, and far-apart points."""
-    sets = exhaustive_point_sets(2, 2)
+    sets = list(exhaustive_point_sets(2, 2))
     sets += [random_point_set(3, 1, 0.6, seed) for seed in range(300)]
     sets += [random_point_set(4, 1, 0.5, seed) for seed in range(40)]
     sets += [random_point_set(2, 3, 0.5, seed) for seed in range(100)]
@@ -362,7 +362,7 @@ class TestHoleFreeStepBounds:
         return check_hole_free(b), len(calls)
 
     def test_all_subsets_of_the_dim2_grid(self):
-        sets = exhaustive_point_sets(2, 2)
+        sets = list(exhaustive_point_sets(2, 2))
         assert len(sets) == 511
         self.assert_same_verdicts(sets)
 

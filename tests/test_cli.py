@@ -3,7 +3,8 @@
 Each invocation runs in a fresh interpreter so the byte-stability claims
 cover the real entry point, not an in-process shortcut.  The exceptions are
 the out-of-memory and interrupt tests, which patch a checker in process
-because exhausting real memory or sending a signal is not an option.
+because exhausting real memory or sending a signal is not an option, and
+the function-encoding tests, which pair emit with load_instance directly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import json
 import pytest
 
 from bspoly import cli
+from bspoly.bisubmod import INF, BisubFunction
+from bspoly.core import PointSet
+from bspoly.oracle import random_bisubmodular, support_function
 from cli_examples import DATA, EXAMPLES, GOLDEN, run_cli
 
 
@@ -202,6 +206,32 @@ class TestCheckCommand:
         assert json.loads(out) == [[0], [1]]
 
 
+class TestFunctionEncoding:
+    def test_shape_and_finite_entries_only(self, capsys):
+        cli.emit(support_function(PointSet.from_points(1, [(0,), (2,)])),
+                 False)
+        out = capsys.readouterr().out
+        assert out == ('{"dim":1,"entries":[{"f":0,"x":[-1]},{"f":2,"x":[1]}],'
+                       '"kind":"function"}\n')
+        assert json.loads(out) == {
+            "kind": "function",
+            "dim": 1,
+            "entries": [{"x": [-1], "f": 0}, {"x": [1], "f": 2}],
+        }
+
+    def test_function_round_trips_through_its_instance_file(self, tmp_path):
+        functions = [random_bisubmodular(dim, 2, seed)
+                     for dim in (1, 2) for seed in range(20)]
+        partial = BisubFunction.from_table(
+            2, {(1, 0): 1, (0, -1): 0, (-1, 1): INF, (1, 1): 3})
+        assert INF in partial.values
+        functions.append(partial)
+        path = str(tmp_path / "f.json")
+        for f in functions:
+            cli.emit(f, False, path)
+            assert cli.load_instance(path) == f
+
+
 class TestTableDimCap:
     """Commands that build a 3^dim table refuse above MAX_TABLE_DIM = 10."""
 
@@ -381,6 +411,15 @@ class TestFuzzCommand:
         assert out == b""
         assert err.startswith(b"error: no nonempty point set in 1000 passes")
         assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "3"),
+                                            ("--box-radius", "-4"),
+                                            ("--density", "5")])
+    def test_random_only_option_refused_under_exhaustive(self, flag, value):
+        code, out, err = run_cli(["fuzz", "--dim", "1", "--exhaustive",
+                                  "--range", "1", flag, value])
+        assert (code, out) == (2, b"")
+        assert err == f"error: {flag} does not apply to --exhaustive\n".encode()
 
     def test_random_mode_is_seed_deterministic(self):
         argv = ["fuzz", "--dim", "2", "--count", "5", "--seed", "42",

@@ -31,7 +31,6 @@ from bspoly.oracle import (
     RejectionBudgetExceeded,
     VERDICT_ORDER,
     exhaustive_point_sets,
-    function_to_jsonable,
     is_bs_convex,
     random_bisubmodular,
     random_bisubmodular_via_submodular,
@@ -118,22 +117,14 @@ class TestSupportFunction:
         assert support_function(B)((1, 1, 1)) == 27
 
 
-class TestFunctionToJsonable:
-    def test_shape_and_finite_entries_only(self):
-        f = support_function(HOLE)
-        doc = function_to_jsonable(f)
-        assert doc == {
-            "kind": "function",
-            "dim": 1,
-            "entries": [{"x": [-1], "f": 0}, {"x": [1], "f": 2}],
-        }
-
-
 class TestIsBsConvex:
-    def test_diagonal_is_convex_with_function_certificate(self):
+    def test_diagonal_is_convex_with_function_certificate(self, capsys):
         verdict = is_bs_convex(DIAGONAL)
         assert verdict.passed
-        assert verdict.witness["function"]["kind"] == "function"
+        assert verdict.witness["function"] == support_function(DIAGONAL)
+        cli.emit(verdict, False)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"]["function"]["kind"] == "function"
 
     def test_hole_fails_round_trip(self):
         verdict = is_bs_convex(HOLE)
@@ -393,7 +384,7 @@ class TestHarness:
         assert count == 2
 
     def test_exhaustive_instance_count(self):
-        sets = exhaustive_point_sets(1, 1)
+        sets = list(exhaustive_point_sets(1, 1))
         assert [b.points for b in sets] == [((0,),), ((1,),), ((0,), (1,))]
         report = run_equivalence_harness(sets)
         assert report.total == 3
@@ -417,9 +408,9 @@ class TestHarness:
 
     def test_report_jsonable_shape(self, capsys):
         report = run_equivalence_harness([HOLE])
-        [built] = report.to_jsonable()["counts"]
+        [built] = cli._encoded(report)["counts"]
         assert list(built["verdicts"]) == list(VERDICT_ORDER)
-        cli.emit(report.to_jsonable(), False)
+        cli.emit(report, False)
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == 1
         assert doc["disagreements"] == []
@@ -430,9 +421,10 @@ class TestHarness:
         assert row["verdicts"]["delta_exc"] == "FAIL"
         assert sorted(row["verdicts"]) == sorted(VERDICT_ORDER)
 
-    def test_every_checker_call_runs_in_process(self, monkeypatch):
-        sets = exhaustive_point_sets(1, 2)
-        expected = run_equivalence_harness(sets).to_jsonable()
+    def test_every_checker_call_runs_in_process(self, monkeypatch, capsys):
+        sets = list(exhaustive_point_sets(1, 2))
+        cli.emit(run_equivalence_harness(sets), False)
+        expected = capsys.readouterr().out
         calls = []
         real = bspoly.axioms.check_delta_exc
 
@@ -443,7 +435,8 @@ class TestHarness:
         monkeypatch.setattr(bspoly.axioms, "check_delta_exc", counting)
         report = run_equivalence_harness(sets)
         assert len(calls) == 7
-        assert report.to_jsonable() == expected
+        cli.emit(report, False)
+        assert capsys.readouterr().out == expected
 
     def test_random_sets_are_drawn_as_the_harness_reaches_them(
             self, monkeypatch, capsys):
@@ -465,6 +458,28 @@ class TestHarness:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["total"] == 4
         assert log == ["draw", "check"] * 4
+
+    def test_exhaustive_sets_are_built_as_the_harness_reaches_them(
+            self, monkeypatch, capsys):
+        log = []
+        check = bspoly.axioms.check_delta_exc
+
+        class LoggedPointSet:
+            @staticmethod
+            def from_points(*args):
+                log.append("build")
+                return PointSet.from_points(*args)
+
+        def logged_check(B):
+            log.append("check")
+            return check(B)
+
+        monkeypatch.setattr(bspoly.oracle, "PointSet", LoggedPointSet)
+        monkeypatch.setattr(bspoly.axioms, "check_delta_exc", logged_check)
+        code = cli.main(["fuzz", "--dim", "1", "--exhaustive", "--range", "2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 7
+        assert log == ["build", "check"] * 7
 
     def test_verdicts_of_agreeing_sets_are_not_retained(self, monkeypatch):
         real = bspoly.axioms.check_bs_exc
@@ -513,7 +528,7 @@ class TestHarness:
             "jump_system": forced,
             "hole_free": {"status": "PASS", "witness": None},
         }
-        cli.emit(report.to_jsonable(), False)
+        cli.emit(report, False)
         assert json.loads(capsys.readouterr().out) == {
             "total": 1,
             "counts": [{"verdicts": {"delta_exc": "PASS", "bs_exc": "FAIL",
@@ -529,9 +544,8 @@ class TestHarness:
         out, err = capsys.readouterr()
         assert code == 1
         assert err == ""
-        expected = run_equivalence_harness(
-            exhaustive_point_sets(1, 1)).to_jsonable()
-        assert len(expected["disagreements"]) == 3
+        expected = run_equivalence_harness(exhaustive_point_sets(1, 1))
+        assert len(expected.disagreements) == 3
         cli.emit(expected, False)
         assert out == capsys.readouterr().out
         assert json.loads(out)["disagreements"][0]["bs_exc"] == forced

@@ -300,7 +300,7 @@ class TestReferenceEquivalence:
         assert self.assert_matches_reference(monkeypatch, lps) == {OPTIMAL}
 
     def test_hole_free_lps(self, monkeypatch):
-        sets = exhaustive_point_sets(2, 2)
+        sets = list(exhaustive_point_sets(2, 2))
         assert len(sets) == 511
         sets += [random_point_set(3, 1, 0.6, seed) for seed in range(100)]
         lps = lps_solved_during(lambda: [check_hole_free(b) for b in sets])
